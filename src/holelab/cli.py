@@ -86,7 +86,7 @@ def _cmd_holes(args) -> int:
         budget = Budget(args.budget_nodes)
         row: dict[str, Any] = {"entry": entry.id, "n": entry.graph.n}
         try:
-            if args.ell:
+            if args.ell is not None:
                 cov = residue_coverage(
                     entry.graph,
                     args.ell,
@@ -172,13 +172,34 @@ def _cmd_balance(args) -> int:
     return EXIT_BUDGET if budget_hit else EXIT_CLEAN
 
 
+# the number of integer parameters each gadget kind takes
+GADGET_PARAMS = {
+    "findhole": 4,
+    "multicover": 3,
+    "crest": 4,
+    "cycle": 1,
+    "complete": 1,
+    "complete_bipartite": 2,
+    "petersen": 0,
+    "mycielski_iterate": 1,
+    "kneser": 2,
+    "random": 2,
+}
+
+
 def _cmd_gadget(args) -> int:
+    want = GADGET_PARAMS[args.kind]
+    if len(args.params) != want:
+        raise InputError(
+            f"gadget {args.kind} takes {want} integer parameters, "
+            f"got {len(args.params)}"
+        )
     if args.kind == "findhole":
-        g = findhole_gadget(args.params[0], *args.params[1:4])
+        g = findhole_gadget(*args.params)
     elif args.kind == "multicover":
-        g, _ = multicover_gadget(*args.params[:3])
+        g, _ = multicover_gadget(*args.params)
     elif args.kind == "crest":
-        base, mc = multicover_gadget(*args.params[1:4])
+        base, mc = multicover_gadget(*args.params[1:])
         g, _, _ = crest_gadget(args.params[0], mc)
     else:
         g = standard_family(args.kind, *args.params, seed=args.seed)
@@ -326,21 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("gadget", help="emit a generated graph")
-    p.add_argument(
-        "kind",
-        choices=[
-            "findhole",
-            "multicover",
-            "crest",
-            "cycle",
-            "complete",
-            "complete_bipartite",
-            "petersen",
-            "mycielski_iterate",
-            "kneser",
-            "random",
-        ],
-    )
+    p.add_argument("kind", choices=list(GADGET_PARAMS))
     p.add_argument("params", type=int, nargs="*")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gadget)

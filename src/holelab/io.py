@@ -123,6 +123,13 @@ def _parse_edgelist(lines: list[tuple[int, str]]) -> Graph:
     return Graph(n, edges)
 
 
+def _ints(lineno: int, fields: list[str]) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise InputError(f"line {lineno}: non-integer field") from None
+
+
 def _parse_dimacs(lines: list[tuple[int, str]]) -> Graph:
     n = None
     declared_m = None
@@ -136,13 +143,13 @@ def _parse_dimacs(lines: list[tuple[int, str]]) -> Graph:
                 raise InputError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: malformed problem line")
-            n, declared_m = int(parts[2]), int(parts[3])
+            n, declared_m = _ints(lineno, parts[2:])
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _ints(lineno, parts[1:])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"line {lineno}: vertex out of range")
             edges.append((u - 1, v - 1))
@@ -166,7 +173,10 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
     if format not in FORMATS:
         raise InputError(f"unknown corpus format: {format}")
     with open(path, encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not ASCII text") from None
     lines = [
         (i + 1, line.strip())
         for i, line in enumerate(raw)

@@ -185,10 +185,21 @@ def test_verify_command(corpus, tmp_path):
     assert code == EXIT_BUDGET
 
 
-def test_input_error_exit_code(tmp_path, capsys):
+def test_input_error_exit_code(corpus, tmp_path, capsys):
     assert main(["holes", str(tmp_path / "missing.g6")]) == EXIT_INPUT_ERROR
     bad = tmp_path / "bad.g6"
     bad.write_text("Cx~~~\n")
     assert main(["holes", str(bad)]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert "error:" in err
+    # a modulus of 0 is refused, not read as "no modulus"
+    assert main(["holes", corpus(petersen_graph()), "--ell", "0"]) == EXIT_INPUT_ERROR
+    assert main(["gadget", "cycle"]) == EXIT_INPUT_ERROR
+    assert main(["gadget", "kneser", "5"]) == EXIT_INPUT_ERROR
+    dimacs = tmp_path / "bad.col"
+    dimacs.write_text("p edge 2 1\ne 1 x\n")
+    assert main(["--format", "dimacs", "holes", str(dimacs)]) == EXIT_INPUT_ERROR
+    latin = tmp_path / "latin.g6"
+    latin.write_bytes("Ch\n# caf\u00e9\n".encode("latin-1"))
+    assert main(["holes", str(latin)]) == EXIT_INPUT_ERROR
+    assert "Traceback" not in capsys.readouterr().err

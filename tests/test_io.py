@@ -105,6 +105,18 @@ def test_parse_corpus_dimacs(tmp_path):
     with pytest.raises(InputError) as exc:
         list(parse_corpus(str(bad2), "dimacs"))
     assert "line 1" in str(exc.value)
+    for text in ("p edge 4 1\ne 1 x\n", "p edge four 1\n"):
+        bad3 = tmp_path / "bad3.col"
+        bad3.write_text(text)
+        with pytest.raises(InputError, match="non-integer"):
+            list(parse_corpus(str(bad3), "dimacs"))
+
+
+def test_parse_corpus_rejects_non_ascii(tmp_path):
+    path = tmp_path / "latin.g6"
+    path.write_bytes("Ch\nCh \u00e9\n".encode("latin-1"))
+    with pytest.raises(InputError, match="not ASCII"):
+        list(parse_corpus(str(path), "graph6"))
 
 
 def test_parse_corpus_unknown_format(tmp_path):
