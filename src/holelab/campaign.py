@@ -10,10 +10,8 @@ identical configuration produce identical files.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Sequence
 
@@ -21,7 +19,7 @@ from .budget import Budget
 from .errors import BudgetExceededError, HolelabError
 from .graph import Graph
 from .holes import consecutive_hole_pairs, residue_coverage
-from .homology import betti_numbers, independence_parity, is_k_balanced
+from .homology import independence_parity, is_k_balanced
 from .invariants import clique_number
 from .io import CorpusEntry
 
@@ -78,9 +76,11 @@ def _has_ternary_cycle(g: Graph, budget: Budget) -> bool:
     return False
 
 
-def _check_kalai_balance(g: Graph, params: dict, budget: Budget) -> tuple[bool, dict]:
+def _check_kalai_balance(
+    g: Graph, params: dict, seed: int, budget: Budget
+) -> tuple[bool, dict]:
     k = int(params.get("k", 1))
-    verdict = is_k_balanced(g, k, budget=budget)
+    verdict = is_k_balanced(g, k, seed=seed, budget=budget)
     if not verdict.exhaustive:
         return True, {"skipped": "balance check not exhaustive"}
     detail: dict[str, Any] = {"k": k, "balanced": verdict.balanced}
@@ -92,7 +92,9 @@ def _check_kalai_balance(g: Graph, params: dict, budget: Budget) -> tuple[bool, 
     return omega <= k + 1, detail
 
 
-def _check_ternary_euler(g: Graph, params: dict, budget: Budget) -> tuple[bool, dict]:
+def _check_ternary_euler(
+    g: Graph, params: dict, seed: int, budget: Budget
+) -> tuple[bool, dict]:
     if _has_ternary_cycle(g, budget):
         return True, {"has_ternary_cycle": True}
     e, o = independence_parity(g, budget)
@@ -104,7 +106,9 @@ def _check_ternary_euler(g: Graph, params: dict, budget: Budget) -> tuple[bool, 
     }
 
 
-def _check_clique_parity(g: Graph, params: dict, budget: Budget) -> tuple[bool, dict]:
+def _check_clique_parity(
+    g: Graph, params: dict, seed: int, budget: Budget
+) -> tuple[bool, dict]:
     e, o = independence_parity(g, budget)
     detail: dict[str, Any] = {"parity": [e, o]}
     complete = g.edge_count == g.n * (g.n - 1) // 2 and g.n >= 1
@@ -126,7 +130,9 @@ def _check_clique_parity(g: Graph, params: dict, budget: Budget) -> tuple[bool, 
     return True, detail
 
 
-def _check_hole_mod_coverage(g: Graph, params: dict, budget: Budget) -> tuple[bool, dict]:
+def _check_hole_mod_coverage(
+    g: Graph, params: dict, seed: int, budget: Budget
+) -> tuple[bool, dict]:
     ell = int(params.get("ell", 3))
     d = params.get("d")
     d = int(d) if d is not None else None
@@ -146,7 +152,9 @@ def _check_hole_mod_coverage(g: Graph, params: dict, budget: Budget) -> tuple[bo
     return True, detail
 
 
-def _check_consecutive_holes(g: Graph, params: dict, budget: Budget) -> tuple[bool, dict]:
+def _check_consecutive_holes(
+    g: Graph, params: dict, seed: int, budget: Budget
+) -> tuple[bool, dict]:
     ell = int(params.get("ell", 4))
     pairs = consecutive_hole_pairs(g, ell, budget=budget)
     detail = {"ell": ell, "pair_lengths": [t for t, _, _ in pairs]}
@@ -155,22 +163,13 @@ def _check_consecutive_holes(g: Graph, params: dict, budget: Budget) -> tuple[bo
     return True, detail
 
 
-_CHECKS: dict[str, Callable[[Graph, dict, Budget], tuple[bool, dict]]] = {
+_CHECKS: dict[str, Callable[[Graph, dict, int, Budget], tuple[bool, dict]]] = {
     "kalai_balance": _check_kalai_balance,
     "ternary_euler": _check_ternary_euler,
     "clique_parity": _check_clique_parity,
     "hole_mod_coverage": _check_hole_mod_coverage,
     "consecutive_holes": _check_consecutive_holes,
 }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("HOLELAB_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(value, 1)
 
 
 def run_campaign(
@@ -182,9 +181,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Evaluate one predicate over a corpus; deterministic given the seed.
 
-    Per-entry budget errors are recorded on the verdict, never fatal.
-    Entries are dispatched to a thread pool sized by HOLELAB_THREADS;
-    results are ordered by entry id regardless of completion order.
+    Entries are evaluated one after another, each under a fresh budget of
+    budget_nodes; per-entry budget errors are recorded on the verdict, never
+    fatal. The seed goes to every predicate check (it seeds the sampled
+    mode of kalai_balance's balance check) and is echoed in the report.
+    Verdicts are ordered by entry id.
     """
     if predicate not in _CHECKS:
         raise HolelabError(f"unknown campaign predicate: {predicate}")
@@ -195,20 +196,14 @@ def run_campaign(
     def evaluate(entry: CorpusEntry) -> EntryVerdict:
         budget = Budget(budget_nodes)
         try:
-            ok, detail = check(entry.graph, params, budget)
+            ok, detail = check(entry.graph, params, seed, budget)
             return EntryVerdict(entry.id, ok, detail)
         except BudgetExceededError as exc:
             return EntryVerdict(
                 entry.id, True, {"budget_error": str(exc)}, budget_exceeded=True
             )
 
-    workers = _worker_count()
-    if workers == 1:
-        verdicts = [evaluate(e) for e in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(evaluate, corpus))
-    verdicts.sort(key=lambda v: v.entry_id)
+    verdicts = sorted((evaluate(e) for e in corpus), key=lambda v: v.entry_id)
     return CampaignReport(
         predicate=predicate,
         params=params,

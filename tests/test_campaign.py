@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from holelab import campaign
 from holelab.campaign import (
     PREDICATES,
     emit_report,
@@ -10,6 +11,7 @@ from holelab.campaign import (
 )
 from holelab.errors import HolelabError
 from holelab.graph import Graph
+from holelab.homology import is_k_balanced
 from holelab.io import CorpusEntry, parse_corpus
 
 from conftest import CORPUS_LE7, complete_graph, cycle_graph, petersen_graph
@@ -105,12 +107,18 @@ def test_report_serialization_is_deterministic(tmp_path):
     assert json.loads(pa.read_text())["elapsed_seconds"] is not None
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    corpus = entries_of(*(complete_graph(m) for m in range(1, 8)))
-    serial = run_campaign("clique_parity", corpus)
-    monkeypatch.setenv("HOLELAB_THREADS", "4")
-    threaded = run_campaign("clique_parity", corpus)
-    assert report_as_dict(serial) == report_as_dict(threaded)
+def test_campaign_seed_reaches_balance_check(monkeypatch):
+    seeds = []
+
+    def recording(g, k, subgraph_budget=1 << 20, seed=0, budget=None):
+        seeds.append(seed)
+        return is_k_balanced(g, k, subgraph_budget, seed, budget)
+
+    monkeypatch.setattr(campaign, "is_k_balanced", recording)
+    corpus = entries_of(complete_graph(3), Graph(4, cycle_graph(4)))
+    report = run_campaign("kalai_balance", corpus, {"k": 1}, seed=7)
+    assert seeds == [7, 7]
+    assert report_as_dict(report)["seed"] == 7
 
 
 def test_predicates_tuple_matches_registry():

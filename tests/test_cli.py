@@ -78,6 +78,19 @@ def test_balance_command_exit_codes(corpus, tmp_path):
     assert row["balanced"] is False and row["imbalance"] == 2
 
 
+def test_balance_budget_exit_code(corpus, tmp_path):
+    # exhaustive balance charges 2^n nodes before it builds its table
+    out = tmp_path / "b.json"
+    code = main(
+        [
+            "--json-out", str(out), "--budget-nodes", "2",
+            "balance", corpus(complete_graph(2)), "--k", "1",
+        ]
+    )
+    assert code == EXIT_BUDGET
+    assert "budget_error" in json.loads(out.read_text())[0]
+
+
 def test_gadget_command(tmp_path, capsys):
     code = main(["gadget", "cycle", "5"])
     assert code == EXIT_CLEAN

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,24 @@ from hypothesis import strategies as st
 
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, InputError
+from holelab import homology
 from holelab.graph import Graph
 from holelab.homology import (
+    BalanceVerdict,
+    _matrix_rank,
     betti_numbers,
     euler_characteristic,
     independence_parity,
     is_k_balanced,
 )
 
-from conftest import complete_graph, cycle_graph, oracle_parity, random_graph
+from conftest import (
+    CORPUS_LE7,
+    complete_graph,
+    cycle_graph,
+    oracle_parity,
+    random_graph,
+)
 
 
 def test_parity_known_values():
@@ -118,3 +129,141 @@ def test_balance_sampled_mode_flags_non_exhaustive():
 def test_budget_propagates():
     with pytest.raises(BudgetExceededError):
         independence_parity(Graph(8, cycle_graph(8)), Budget(2))
+
+
+# ---------------------------------------------------------------------------
+# oracles for the exact fast paths
+
+
+def oracle_rank(rows: list[list[int]]) -> int:
+    """Rank over Q by dense Gaussian elimination on Fractions."""
+    if not rows or not rows[0]:
+        return 0
+    m = [[Fraction(x) for x in row] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        for r in range(rank + 1, n_rows):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for c in range(col, n_cols):
+                    m[r][c] -= factor * m[rank][c]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def subset_imbalances(g: Graph):
+    """(subset, |S_even - S_odd|) of every induced subgraph, in the scan
+    order of exhaustive balance: by size, lexicographic within a size; each
+    through its own induced subgraph and parity recursion."""
+    for size in range(g.n + 1):
+        for subset in combinations(range(g.n), size):
+            sub, keep = g.induced_subgraph(subset)
+            e, o = independence_parity(sub)
+            yield frozenset(keep), abs(e - o)
+
+
+def oracle_balance(scan: list, k: int) -> BalanceVerdict:
+    """The verdict of a subset scan: its first subset with imbalance > k."""
+    for keep, diff in scan:
+        if diff > k:
+            return BalanceVerdict(k, False, keep, True, diff)
+    return BalanceVerdict(k, True, None, True)
+
+
+def test_rank_matches_fraction_elimination():
+    rng = random.Random(23)
+    deficient = non_unit = 0
+    for _ in range(400):
+        n_rows, n_cols = rng.randrange(0, 9), rng.randrange(1, 9)
+        density = rng.uniform(0.2, 0.9)
+        dense = [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        if n_rows > 1 and rng.random() < 0.3:
+            dense[-1] = [-x for x in dense[0]]  # a dependent row
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
+        want = oracle_rank(dense)
+        assert _matrix_rank(sparse) == want, dense
+        assert sparse == [{c: x for c, x in enumerate(row) if x} for row in dense]
+        deficient += want < min(n_rows, n_cols)
+        non_unit += any(abs(x) > 1 for row in dense for x in row)
+    assert deficient > 50 and non_unit > 300
+
+
+def _gf2_rank(rows) -> int:
+    basis: dict[int, int] = {}  # leading bit -> row as a bitmask of odd entries
+    for row in rows:
+        mask = sum(1 << c for c, x in row.items() if x % 2)
+        while mask:
+            lead = mask & -mask
+            if lead not in basis:
+                basis[lead] = mask
+                break
+            mask ^= basis[lead]
+    return len(basis)
+
+
+def test_betti_over_q_ignores_torsion(monkeypatch):
+    # Ind of this graph is the barycentric subdivision of the 6-vertex RP^2:
+    # vertices are the 31 faces of RP^2, and two are adjacent unless one
+    # contains the other, so stable sets are chains of faces
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    faces = sorted(
+        {sub for t in triangles for r in (1, 2, 3) for sub in combinations(t, r)},
+        key=lambda f: (len(f), f),
+    )
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(faces)), 2)
+        if not set(faces[i]) <= set(faces[j])
+    ]
+    g = Graph(len(faces), edges)
+    rep = betti_numbers(g)
+    assert rep.face_counts == (31, 90, 60)
+    assert rep.betti == (1,)  # RP^2 is acyclic over Q
+    # H_1(RP^2; Z) = Z/2, so a mod-2 rank reads homology in every dimension
+    monkeypatch.setattr(homology, "_matrix_rank", _gf2_rank)
+    assert betti_numbers(g).betti == (1, 1, 1)
+
+
+def test_balance_matches_subset_scan_on_le7(corpus_le7):
+    assert len(corpus_le7) == 1253
+    for g in corpus_le7:
+        scan = list(subset_imbalances(g))
+        for k in (0, 1, 2):
+            assert is_k_balanced(g, k) == oracle_balance(scan, k), (g, k)
+
+
+def test_balance_matches_subset_scan_on_random_graphs():
+    rng = random.Random(31)
+    for n in range(10, 15):
+        g = random_graph(rng, n, rng.uniform(0.2, 0.5))
+        scan = list(subset_imbalances(g))
+        worst = max(diff for _, diff in scan)
+        for k in sorted({0, 1, 2, worst - 1, worst}):
+            assert is_k_balanced(g, k) == oracle_balance(scan, k), (n, k)
+
+
+def test_exhaustive_balance_charges_its_table_first(monkeypatch):
+    g = Graph(8, cycle_graph(8))
+
+    def unbuilt(graph):
+        raise AssertionError("subset table built before the budget was charged")
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_signed_counts", unbuilt)
+        with pytest.raises(BudgetExceededError):
+            is_k_balanced(g, 1, budget=Budget((1 << 8) - 1))
+    budget = Budget(1 << 8)
+    assert is_k_balanced(g, 3, budget=budget).balanced
+    assert budget.used == 1 << 8
