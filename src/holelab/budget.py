@@ -7,7 +7,7 @@ approximate answer.
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InputError
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -19,7 +19,7 @@ class Budget:
 
     def __init__(self, limit: int | None = DEFAULT_NODE_BUDGET):
         if limit is not None and limit < 0:
-            raise ValueError("budget limit must be nonnegative")
+            raise InputError("budget limit must be nonnegative")
         self.limit = limit
         self.used = 0
 

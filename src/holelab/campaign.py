@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any, Callable, Sequence
 
 from .budget import Budget
-from .errors import BudgetExceededError, HolelabError
+from .errors import BudgetExceededError, HolelabError, InputError
 from .graph import Graph
 from .holes import consecutive_hole_pairs, residue_coverage
 from .homology import independence_parity, is_k_balanced
@@ -76,10 +75,17 @@ def _has_ternary_cycle(g: Graph, budget: Budget) -> bool:
     return False
 
 
+def _as_int(key: str, value: Any) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"parameter {key}={value!r} is not an integer") from None
+
+
 def _check_kalai_balance(
     g: Graph, params: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
-    k = int(params.get("k", 1))
+    k = _as_int("k", params.get("k", 1))
     verdict = is_k_balanced(g, k, seed=seed, budget=budget)
     if not verdict.exhaustive:
         return True, {"skipped": "balance check not exhaustive"}
@@ -116,14 +122,12 @@ def _check_clique_parity(
     if complete and (e, o) != (1, g.n):
         return False, detail
     if g.n <= 12:  # cross-check the recursion against direct enumeration
-        be = bo = 0
-        for size in range(g.n + 1):
-            for s in combinations(range(g.n), size):
-                if g.is_stable(s):
-                    if size % 2:
-                        bo += 1
-                    else:
-                        be += 1
+        # stable[S] for every vertex mask S, adding vertex v as the highest
+        stable = [True]
+        for v, nbrs in enumerate(g.adjacency_masks()):
+            stable += [s and not nbrs & m for m, s in enumerate(stable)]
+        bo = sum(1 for m, s in enumerate(stable) if s and m.bit_count() % 2)
+        be = stable.count(True) - bo
         detail["enumerated"] = [be, bo]
         if (be, bo) != (e, o):
             return False, detail
@@ -133,9 +137,9 @@ def _check_clique_parity(
 def _check_hole_mod_coverage(
     g: Graph, params: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
-    ell = int(params.get("ell", 3))
+    ell = _as_int("ell", params.get("ell", 3))
     d = params.get("d")
-    d = int(d) if d is not None else None
+    d = _as_int("d", d) if d is not None else None
     cov = residue_coverage(g, ell, d=d, budget=budget)
     detail = {
         "ell": ell,
@@ -145,7 +149,9 @@ def _check_hole_mod_coverage(
         },
     }
     required = params.get("require", ())
-    missing = [r for r in required if int(r) % ell not in cov.covered]
+    if isinstance(required, (int, str)):  # one residue, or "a,b,..." text
+        required = str(required).split(",")
+    missing = [r for r in required if _as_int("require", r) % ell not in cov.covered]
     if missing:
         detail["missing"] = sorted(int(r) % ell for r in missing)
         return False, detail
@@ -155,7 +161,7 @@ def _check_hole_mod_coverage(
 def _check_consecutive_holes(
     g: Graph, params: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
-    ell = int(params.get("ell", 4))
+    ell = _as_int("ell", params.get("ell", 4))
     pairs = consecutive_hole_pairs(g, ell, budget=budget)
     detail = {"ell": ell, "pair_lengths": [t for t, _, _ in pairs]}
     if params.get("require_pair") and not pairs:

@@ -20,14 +20,12 @@ from .campaign import (
 )
 from .errors import BudgetExceededError, InputError
 from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
-from .graph import Graph
 from .holes import enumerate_holes, residue_coverage
 from .homology import betti_numbers, is_k_balanced
 from .invariants import chi_rho, chromatic_number, clique_number
 from .io import FORMATS, CorpusEntry, encode_graph6, parse_corpus
 from .structures import (
     Multicover,
-    Shower,
     enumerate_jets,
     shower_from_bfs,
     verify_multicover,
@@ -254,19 +252,29 @@ def _cmd_shower(args) -> int:
     return EXIT_CLEAN
 
 
+def _read_witness(path: str) -> dict[str, Any]:
+    """The X, families and C of a multicover from a JSON witness file of
+    the shape {"X": [...], "families": {"<apex>": [...], ...}, "C": [...]}."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            witness = json.load(fh)
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not ASCII text") from None
+    try:
+        families = {int(x): frozenset(n) for x, n in witness["families"].items()}
+        fields = {"X": frozenset(witness["X"]), "C": frozenset(witness["C"])}
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise InputError("witness needs X, C and families keyed by integers") from None
+    if any(type(v) is not int for s in [*fields.values(), *families.values()] for v in s):
+        raise InputError("witness vertex sets are not lists of integers")
+    return {**fields, "families": families}
+
+
 def _cmd_structures(args) -> int:
     entries = _load_corpus(args.corpus, args.format)
     if not (0 <= args.entry < len(entries)):
         raise InputError(f"corpus has no entry {args.entry}")
-    g = entries[args.entry].graph
-    with open(args.witness, encoding="ascii") as fh:
-        witness = json.load(fh)
-    mc = Multicover(
-        host=g,
-        X=frozenset(witness["X"]),
-        families={int(k): frozenset(v) for k, v in witness["families"].items()},
-        C=frozenset(witness["C"]),
-    )
+    mc = Multicover(host=entries[args.entry].graph, **_read_witness(args.witness))
     report = verify_multicover(mc, stable=args.stable)
     row = {
         "valid": report.valid,

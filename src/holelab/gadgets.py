@@ -3,21 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError
 from .graph import Graph
 from .structures import CrestData, Multicover
-
-
-@dataclass(frozen=True)
-class GadgetRecipe:
-    """Provenance record for a generated gadget."""
-
-    kind: str
-    parameters: tuple[int, ...]
-    description: str
 
 
 def findhole_gadget(ell: int, s1: int, s2: int, s3: int) -> Graph:

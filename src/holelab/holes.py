@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, ChordError, InputError
-from .graph import Graph, bits, mask_of
+from .graph import Graph, mask_of
 from .invariants import chromatic_number
 from .kernels import find_holes
 
@@ -45,17 +45,30 @@ class Hole:
             raise InputError("hole vertices are not distinct")
         for v in vs:
             g.check_vertex(v)
-        for i in range(k):
-            for j in range(i + 1, k):
-                consecutive = j - i == 1 or (i == 0 and j == k - 1)
-                if g.has_edge(vs[i], vs[j]) != consecutive:
-                    if consecutive:
-                        raise InputError(
-                            f"hole vertices {vs[i]} and {vs[j]} are not adjacent"
-                        )
-                    raise ChordError(vs[i], vs[j])
+        defect = sequence_defect(g, vs, cyclic=True)
+        if defect is not None:
+            u, v, consecutive = defect
+            if consecutive:
+                raise InputError(f"hole vertices {u} and {v} are not adjacent")
+            raise ChordError(u, v)
         if vs[0] != min(vs) or vs[1] > vs[-1]:
             raise InputError("hole is not in canonical rotation")
+
+
+def sequence_defect(
+    g: Graph, vs: Sequence[int], cyclic: bool
+) -> tuple[int, int, bool] | None:
+    """None when vs is an induced path of g (an induced cycle when cyclic).
+    Else (vs[i], vs[j], consecutive) for the first i < j where adjacency and
+    being consecutive differ: True for a missing edge, False for a chord."""
+    adj = g.adjacency_masks()
+    k = len(vs)
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = j - i == 1 or (cyclic and i == 0 and j == k - 1)
+            if bool((adj[vs[i]] >> vs[j]) & 1) != consecutive:
+                return vs[i], vs[j], consecutive
+    return None
 
 
 def canonical_hole(vertices: Sequence[int]) -> Hole:

@@ -9,14 +9,13 @@ are deterministic: ties always break toward the lowest vertex index.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceededError, ChordError, InputError, RefinementError
+from .errors import BudgetExceededError, InputError, RefinementError
 from .graph import Graph, bits, mask_of
-from .holes import Hole, canonical_hole
+from .holes import Hole, canonical_hole, sequence_defect
 from .invariants import chromatic_number, clique_number
 
 
@@ -331,14 +330,8 @@ def verify_oddity(o: Oddity) -> VerificationReport:
         return VerificationReport(False, (str(exc),))
     if len(set(p)) != len(p):
         failures.append("path vertices are not distinct")
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if g.has_edge(p[i], p[j]) != (j - i == 1):
-                failures.append("path is not induced")
-                break
-        else:
-            continue
-        break
+    if sequence_defect(g, p, cyclic=False) is not None:
+        failures.append("path is not induced")
     if o.length not in (3, 5):
         failures.append(f"path length {o.length} is not 3 or 5")
     if not (p[0] in mc.X and p[-1] in mc.X):
@@ -431,8 +424,8 @@ def refine_multicover(
         # postcondition: every A_h so far covers one side, anticomplete to
         # the other
         for r in rounds:
-            covered = new_c if _covers_side(g, r.A, new_c) else None
-            if covered is None and _covers_side(g, r.A, new_d):
+            covered = new_c if g.covers(r.A, new_c) else None
+            if covered is None and g.covers(r.A, new_d):
                 covered = new_d
             other = new_d if covered is new_c else new_c
             if covered is None or not g.is_anticomplete(r.A, other):
@@ -442,13 +435,6 @@ def refine_multicover(
                 )
         cur_c, cur_d = new_c, new_d
     return rounds
-
-
-def _covers_side(g: Graph, a: frozenset[int], side: frozenset[int]) -> bool:
-    if a & side:
-        return False
-    am = mask_of(a)
-    return all(g.adjacency_mask(v) & am for v in side)
 
 
 def find_oddity(
@@ -760,6 +746,35 @@ def _simple_induced_paths(
     yield from extend([source], 1 << source)
 
 
+def _least_shortest_path(
+    g: Graph, source: int, target: int, allowed_mask: int, budget: Budget
+) -> tuple[int, ...] | None:
+    """Lexicographically least shortest source-target path inside allowed_mask.
+
+    None when there is none. A bitset BFS from the target, charging each vertex
+    it reaches, then a walk from the source to its lowest-index neighbor one
+    level nearer. A shortest path has no chord, so the path is induced.
+    """
+    adj = g.adjacency_masks()
+    levels = [1 << target]
+    seen = 1 << target
+    while not (seen >> source) & 1:
+        frontier = 0
+        for u in bits(levels[-1]):
+            frontier |= adj[u]
+        frontier &= allowed_mask & ~seen
+        if not frontier:
+            return None
+        budget.tick(frontier.bit_count())
+        seen |= frontier
+        levels.append(frontier)
+    path = [source]
+    for level in reversed(levels[:-1]):
+        step = adj[path[-1]] & level
+        path.append((step & -step).bit_length() - 1)
+    return tuple(path)
+
+
 def bloodline(
     g: Graph, last_layer: frozenset[int], drain: int, v: int
 ) -> tuple[int, ...]:
@@ -772,23 +787,11 @@ def bloodline(
     """
     if v not in last_layer or drain not in last_layer:
         raise InputError("both the vertex and the drain must be in the layer")
-    sub, keep = g.induced_subgraph(last_layer)
-    index = {u: i for i, u in enumerate(keep)}
-    dist = sub.distances_from(index[drain])
-    if dist[index[v]] == float("inf"):
+    allowed = mask_of(g.check_set(last_layer))
+    path = _least_shortest_path(g, v, drain, allowed, Budget(None))
+    if path is None:
         raise InputError(f"vertex {v} is not in any M-layer of the drain")
-    path = [v]
-    cur = v
-    while cur != drain:
-        d = dist[index[cur]]
-        pred = min(
-            u
-            for u in sub.neighbors(index[cur])
-            if dist[u] == d - 1
-        )
-        cur = keep[pred]
-        path.append(cur)
-    return tuple(path)
+    return path
 
 
 def find_recirculator(
@@ -797,47 +800,34 @@ def find_recirculator(
     """Shortest induced drain-to-head path outside the shower.
 
     Internal vertices lie outside the shower's vertex set and have no
-    neighbors in it except possibly the drain and head. BFS inside the set
-    of admissible vertices; the result is verified before return.
+    neighbors in it except possibly the drain and head. Returns the
+    lexicographically least shortest such path, or None when there is none
+    with at most max_len edges (always None when head and drain coincide).
+    The budget is charged for every vertex the search reaches.
     """
     budget = ensure_budget(budget)
+    head, drain = s.head, s.drain
+    if head == drain:
+        return None
     v_set = s.vertex_set()
-    head = s.head
-    drain = s.drain
     ends_mask = (1 << head) | (1 << drain)
     interior_forbidden = mask_of(v_set) & ~ends_mask
-    admissible = [
+    allowed = ends_mask | mask_of(
         v
         for v in g.vertices()
-        if v not in v_set and not (g.adjacency_mask(v) & interior_forbidden)
-    ]
-    allowed = mask_of(admissible) | ends_mask
-    # BFS from drain to head inside the admissible set; a shortest path in
-    # this set is automatically induced unless a chord connects path
-    # vertices, so verify and fall back to induced-path search if needed
-    best: tuple[int, ...] | None = None
-    for path in sorted(
-        _simple_induced_paths(g, drain, head, allowed, max_len, budget),
-        key=lambda p: (len(p), p),
-    ):
-        best = path
-        break
-    if best is None:
+        if v not in v_set and not g.adjacency_mask(v) & interior_forbidden
+    )
+    path = _least_shortest_path(g, drain, head, allowed, budget)
+    if path is None or len(path) - 1 > max_len:
         return None
-    internal = best[1:-1]
-    for v in internal:
-        if v in v_set:
-            return None
-        if g.adjacency_mask(v) & interior_forbidden:
-            return None
-    return best
+    return path
 
 
 def close_hole(jet: Sequence[int], recirc: Sequence[int], g: Graph) -> Hole:
     """Glue a jet and a recirculator sharing exactly their endpoints.
 
-    The union must be a chordless cycle; any chord raises ChordError naming
-    the offending pair.
+    The union must be a chordless cycle. Hole.validate raises on the first
+    defect in canonical order: ChordError for a chord, InputError otherwise.
     """
     if len(jet) < 2 or len(recirc) < 2:
         raise InputError("jet and recirculator must each have an edge")
@@ -849,17 +839,6 @@ def close_hole(jet: Sequence[int], recirc: Sequence[int], g: Graph) -> Hole:
     r = list(recirc)
     if r[0] != jet[-1]:
         r.reverse()
-    cycle = list(jet) + r[1:-1]
-    k = len(cycle)
-    for i in range(k):
-        for j in range(i + 1, k):
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if g.has_edge(cycle[i], cycle[j]) != consecutive:
-                if consecutive:
-                    raise InputError(
-                        f"cycle vertices {cycle[i]} and {cycle[j]} not adjacent"
-                    )
-                raise ChordError(cycle[i], cycle[j])
-    hole = canonical_hole(cycle)
+    hole = canonical_hole(list(jet) + r[1:-1])
     hole.validate(g)
     return hole

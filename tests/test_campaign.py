@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,14 @@ from holelab.graph import Graph
 from holelab.homology import is_k_balanced
 from holelab.io import CorpusEntry, parse_corpus
 
-from conftest import CORPUS_LE7, complete_graph, cycle_graph, petersen_graph
+from conftest import (
+    CORPUS_LE7,
+    complete_graph,
+    cycle_graph,
+    oracle_parity,
+    petersen_graph,
+    random_graph,
+)
 
 
 def entries_of(*graphs):
@@ -34,6 +42,20 @@ def test_clique_parity_clean_on_complete_graphs():
     assert [v.detail["parity"] for v in report.verdicts] == [
         [1, m] for m in range(1, 7)
     ]
+
+
+def test_clique_parity_enumeration_matches_subset_scan(corpus_le7):
+    rng = random.Random(1212)
+    graphs = corpus_le7 + [
+        random_graph(rng, n, rng.uniform(0.1, 0.6)) for n in (0, 9, 10, 11, 12, 12)
+    ]
+    report = run_campaign("clique_parity", entries_of(*graphs))
+    assert report.clean
+    for g, verdict in zip(graphs, report.verdicts):
+        assert verdict.detail["enumerated"] == list(oracle_parity(g))
+    # above 12 vertices the cross-check is skipped
+    big = run_campaign("clique_parity", entries_of(Graph(13)))
+    assert "enumerated" not in big.verdicts[0].detail
 
 
 def test_ternary_euler_on_small_corpus():

@@ -216,3 +216,88 @@ def test_input_error_exit_code(corpus, tmp_path, capsys):
     latin.write_bytes("Ch\n# caf\u00e9\n".encode("latin-1"))
     assert main(["holes", str(latin)]) == EXIT_INPUT_ERROR
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_require_param_forms(corpus, tmp_path):
+    # the Petersen graph has holes of lengths 5 and 6: residues 2 and 0 mod 3
+    out = tmp_path / "v.json"
+    argv = ["--json-out", str(out), "verify", "hole_mod_coverage", corpus(petersen_graph())]
+    assert main(argv + ["--param", "ell=3", "--param", "require=0,2"]) == EXIT_CLEAN
+    assert json.loads(out.read_text())["params"] == {"ell": 3, "require": "0,2"}
+    assert main(argv + ["--param", "ell=3", "--param", "require=4"]) == EXIT_COUNTEREXAMPLE
+    payload = json.loads(out.read_text())
+    assert payload["params"] == {"ell": 3, "require": 4}
+    assert payload["verdicts"][0]["detail"]["missing"] == [1]
+
+
+WITNESS = {"X": [0, 1], "families": {"0": [2, 3], "1": [4, 5]}, "C": [6, 7]}
+
+# every command that reads a corpus, with {c} for the corpus
+CORPUS_COMMANDS = {
+    "invariants": "invariants {c}",
+    "holes": "holes {c}",
+    "homology": "homology {c}",
+    "balance": "balance {c} --k 1",
+    "shower": "shower {c} --root 0 --depth 1 --drain 1",
+    "structures": "structures {c} --witness {witness}",
+    "verify": "verify clique_parity {c}",
+}
+STRUCTURES = "structures {ok} --witness {w}"
+SHOWER = "shower {ok} --root 0 --depth 1 --drain 1"
+
+# {ok}: a valid corpus; {bad}: a graph6 line whose body does not match n;
+# {latin}: a file that is not ASCII; {missing}: no such file;
+# {witness}: WITNESS; {w}: the case's own witness
+MALFORMED = [
+    *(
+        pytest.param(command.replace("{c}", "{" + kind + "}"), None, id=f"{name}-{kind}")
+        for name, command in CORPUS_COMMANDS.items()
+        for kind in ("bad", "latin", "missing")
+    ),
+    pytest.param(STRUCTURES, {"X": [0]}, id="witness-missing-key"),
+    pytest.param(STRUCTURES, [0, 1], id="witness-list"),
+    pytest.param(
+        STRUCTURES,
+        {**WITNESS, "families": {"a": [2, 3], "1": [4, 5]}},
+        id="witness-family-key",
+    ),
+    pytest.param(STRUCTURES, {**WITNESS, "families": [[2, 3]]}, id="witness-families"),
+    pytest.param(STRUCTURES, {**WITNESS, "X": ["0", 1]}, id="witness-vertex"),
+    pytest.param("structures {ok} --witness {latin}", None, id="witness-latin"),
+    pytest.param("structures {ok} --entry 1 --witness {witness}", None, id="witness-entry"),
+    pytest.param("verify hole_mod_coverage {ok} --param ell=abc", None, id="param-ell"),
+    pytest.param("verify hole_mod_coverage {ok} --param d=x", None, id="param-d"),
+    pytest.param("verify kalai_balance {ok} --param k=x", None, id="param-k"),
+    pytest.param("verify hole_mod_coverage {ok} --param require=0,x", None, id="param-require"),
+    pytest.param("verify consecutive_holes {ok} --param ell=x", None, id="param-pairs-ell"),
+    pytest.param("shower {ok} --root 9 --depth 1 --drain 1", None, id="shower-root"),
+    pytest.param("shower {ok} --root 0 --depth 1 --drain -1", None, id="shower-drain"),
+    pytest.param("shower {ok} --entry 1 --root 0 --depth 1 --drain 1", None, id="shower-entry"),
+    pytest.param(SHOWER + " --jets 3 --ell 1", None, id="shower-ell"),
+    pytest.param("holes {ok} --ell 0", None, id="holes-ell"),
+    pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),
+    pytest.param("balance {ok} --k -1", None, id="balance-k"),
+    pytest.param("invariants {ok} --rho 0", None, id="invariants-rho"),
+    pytest.param("gadget kneser 5", None, id="gadget-arity"),
+    pytest.param("gadget cycle 2", None, id="gadget-value"),
+    pytest.param("--budget-nodes -1 holes {ok}", None, id="budget-nodes"),
+]
+
+
+@pytest.mark.parametrize("argv, case_witness", MALFORMED)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, case_witness):
+    files = {
+        "ok": ("ok.g6", encode_graph6(Graph(8, cycle_graph(8))) + "\n"),
+        "bad": ("bad.g6", "Cx~~~\n"),
+        "latin": ("latin.txt", "Ch\n# café\n"),
+        "witness": ("witness.json", json.dumps(WITNESS)),
+        "w": ("w.json", json.dumps(case_witness)),
+    }
+    paths = {"missing": str(tmp_path / "missing.g6")}
+    for key, (name, text) in files.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode("latin-1"))
+        paths[key] = str(path)
+    assert main([arg.format(**paths) for arg in argv.split()]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -15,6 +15,7 @@ from holelab.holes import (
     enumerate_holes,
     is_d_peripheral,
     residue_coverage,
+    sequence_defect,
 )
 
 from conftest import cycle_graph, oracle_holes, petersen_graph, random_graph
@@ -40,6 +41,20 @@ def test_validate_catches_defects():
     with pytest.raises(ChordError) as exc:
         Hole((0, 1, 2, 3, 4)).validate(chorded)
     assert set(exc.value.chord) == {0, 2}
+
+
+def test_sequence_defect_reports_first_pair():
+    g = Graph(6, cycle_graph(6) + [(1, 4), (0, 3)])
+    assert sequence_defect(g, (0, 1, 2), cyclic=False) is None
+    assert sequence_defect(g, (5, 0, 1), cyclic=False) is None
+    # (0, 1, 2) closed into a cycle misses the edge 0-2
+    assert sequence_defect(g, (0, 1, 2), cyclic=True) == (0, 2, True)
+    # chords 0-3 and 1-4: the pair with the smaller first position wins
+    assert sequence_defect(g, (0, 1, 2, 3, 4, 5), cyclic=True) == (0, 3, False)
+    assert sequence_defect(g, (1, 2, 3, 4), cyclic=False) == (1, 4, False)
+    # an open path does not need its ends adjacent, a cycle does
+    assert sequence_defect(g, (1, 2, 3), cyclic=False) is None
+    assert sequence_defect(g, (1, 2, 3), cyclic=True) == (1, 3, True)
 
 
 @settings(max_examples=80, deadline=None)

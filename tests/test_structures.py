@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from holelab.budget import Budget
-from holelab.errors import ChordError, InputError, RefinementError
+from holelab.errors import BudgetExceededError, ChordError, InputError, RefinementError
 from holelab.gadgets import crest_gadget, multicover_gadget
-from holelab.graph import Graph
+from holelab.graph import Graph, mask_of
 from holelab.structures import (
     Multicover,
     Oddity,
@@ -23,9 +25,10 @@ from holelab.structures import (
     verify_multicover,
     verify_oddity,
     verify_shower,
+    _simple_induced_paths,
 )
 
-from conftest import cycle_graph
+from conftest import cycle_graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +414,125 @@ def test_close_hole_rejects_chords_and_bad_glue():
         close_hole((0,), (0, 1), good)  # degenerate jet
     with pytest.raises(InputError):
         close_hole((0, 1, 2), (2, 1, 0), good)  # shared internal vertex
+
+
+def test_find_recirculator_charges_the_vertices_it_reaches():
+    g = Graph(6, [(0, 1), (1, 2), (0, 3), (0, 5), (3, 4), (4, 2)])
+    s = Shower(
+        host=g,
+        layers=(frozenset({0}), frozenset({1}), frozenset({2})),
+        drain=2,
+    )
+    # the BFS from the head reaches 3 and 5, then 4, then the drain 2
+    budget = Budget(4)
+    assert find_recirculator(g, s, 4, budget) == (2, 4, 3, 0)
+    assert budget.used == 4
+    with pytest.raises(BudgetExceededError):
+        find_recirculator(g, s, 4, Budget(3))
+
+
+def test_close_hole_names_a_chord_among_several():
+    # a 7-cycle glued from a jet and a recirculator, with three chords
+    chords = {(1, 3), (2, 5), (0, 4)}
+    g = Graph(7, cycle_graph(7) + sorted(chords))
+    for jet, recirc in (
+        ((0, 1, 2, 3), (3, 4, 5, 6, 0)),
+        ((3, 2, 1, 0), (3, 4, 5, 6, 0)),
+        ((5, 4, 3, 2, 1), (1, 0, 6, 5)),
+    ):
+        with pytest.raises(ChordError) as exc:
+            close_hole(jet, recirc, g)
+        assert tuple(sorted(exc.value.chord)) in chords
+
+
+# ---------------------------------------------------------------------------
+# path oracles: the enumerate-and-sort recirculator and the subgraph-based
+# bloodline that the shared least-shortest-path walk replaced
+
+
+def oracle_find_recirculator(g, s, max_len):
+    v_set = s.vertex_set()
+    ends_mask = (1 << s.head) | (1 << s.drain)
+    interior_forbidden = mask_of(v_set) & ~ends_mask
+    admissible = [
+        v
+        for v in g.vertices()
+        if v not in v_set and not (g.adjacency_mask(v) & interior_forbidden)
+    ]
+    allowed = mask_of(admissible) | ends_mask
+    paths = sorted(
+        _simple_induced_paths(g, s.drain, s.head, allowed, max_len, Budget(None)),
+        key=lambda p: (len(p), p),
+    )
+    return paths[0] if paths else None
+
+
+def oracle_bloodline(g, last_layer, drain, v):
+    """None when v is not connected to the drain inside the layer."""
+    sub, keep = g.induced_subgraph(last_layer)
+    index = {u: i for i, u in enumerate(keep)}
+    dist = sub.distances_from(index[drain])
+    if dist[index[v]] == float("inf"):
+        return None
+    path = [v]
+    cur = v
+    while cur != drain:
+        d = dist[index[cur]]
+        cur = keep[min(u for u in sub.neighbors(index[cur]) if dist[u] == d - 1)]
+        path.append(cur)
+    return tuple(path)
+
+
+def lifted_bfs_showers(g, keep_mask):
+    """Every BFS shower of G[keep], read as a shower of g.
+
+    Showers of g itself only have the head-drain edge as a recirculator;
+    a shower of an induced subgraph leaves the other vertices as
+    admissible interior vertices.
+    """
+    h, keep = g.induced_subgraph(v for v in g.vertices() if keep_mask >> v & 1)
+    for root in h.vertices():
+        dist = h.distances_from(root)
+        for drain in h.vertices():
+            if dist[drain] == float("inf"):
+                continue
+            s = shower_from_bfs(h, root, int(dist[drain]), drain)
+            if s is not None:
+                layers = tuple(frozenset(keep[v] for v in layer) for layer in s.layers)
+                yield Shower(host=g, layers=layers, drain=keep[drain])
+
+
+def test_path_walks_match_enumeration_oracles():
+    rng = random.Random(4711)
+    seen = dict.fromkeys(("k0", "found", "cut", "absent", "unreachable"), 0)
+    for trial in range(120):
+        g = random_graph(rng, rng.randrange(5, 15), rng.uniform(0.1, 0.5))
+        keep_mask = g.full_mask() if trial % 2 else rng.getrandbits(g.n)
+        for s in lifted_bfs_showers(g, keep_mask):
+            assert verify_shower(s)[0].valid
+            seen["k0"] += s.k == 0
+            for max_len in (1, 2, 4, 8, g.n):
+                got = find_recirculator(g, s, max_len)
+                assert got == oracle_find_recirculator(g, s, max_len)
+                if got is not None:
+                    seen["found"] += 1
+                elif find_recirculator(g, s, g.n) is not None:
+                    seen["cut"] += 1
+                else:
+                    seen["absent"] += 1
+            last = s.layers[-1]
+            for v in sorted(last):
+                assert bloodline(g, last, s.drain, v) == oracle_bloodline(
+                    g, last, s.drain, v
+                )
+        # bloodlines in arbitrary layers, where v may not reach the drain
+        layer = frozenset(v for v in g.vertices() if rng.random() < 0.6) | {0}
+        for v in sorted(layer):
+            want = oracle_bloodline(g, layer, 0, v)
+            if want is None:
+                seen["unreachable"] += 1
+                with pytest.raises(InputError):
+                    bloodline(g, layer, 0, v)
+            else:
+                assert bloodline(g, layer, 0, v) == want
+    assert all(seen.values()), seen
