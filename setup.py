@@ -1,22 +1,17 @@
-"""Build script: compiles the optional fast hole-search kernel.
+"""Build script: compiles the optional C hole-search kernel.
 
 The package works without the extension (a pure-Python kernel is selected
-at import time), so any failure here downgrades to a warning.
+at import time), so a missing compiler only skips it.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/holelab/kernels/_fastcore.pyx"],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    import warnings
-
-    warnings.warn(f"fast kernel not built, falling back to pure Python: {exc}")
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "holelab.kernels._fastcore",
+            ["src/holelab/kernels/_fastcore.c"],
+            optional=True,
+        )
+    ]
+)

@@ -82,10 +82,39 @@ def _as_int(key: str, value: Any) -> int:
         raise InputError(f"parameter {key}={value!r} is not an integer") from None
 
 
+def _read_params(predicate: str, params: dict) -> dict:
+    """The values the predicate's check uses, read once per campaign so
+    that a bad value is an input error whatever the corpus holds."""
+    if predicate == "kalai_balance":
+        k = _as_int("k", params.get("k", 1))
+        if k < 0:
+            raise InputError("balance threshold must be nonnegative")
+        return {"k": k}
+    if predicate == "hole_mod_coverage":
+        ell = _as_int("ell", params.get("ell", 3))
+        if ell < 1:
+            raise InputError("modulus must be at least 1")
+        d = params.get("d")
+        required = params.get("require", ())
+        if isinstance(required, (int, str)):  # one residue, or "a,b,..." text
+            required = str(required).split(",")
+        return {
+            "ell": ell,
+            "d": _as_int("d", d) if d is not None else None,
+            "require": [_as_int("require", r) for r in required],
+        }
+    if predicate == "consecutive_holes":
+        return {
+            "ell": _as_int("ell", params.get("ell", 4)),
+            "require_pair": params.get("require_pair"),
+        }
+    return {}
+
+
 def _check_kalai_balance(
-    g: Graph, params: dict, seed: int, budget: Budget
+    g: Graph, opts: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
-    k = _as_int("k", params.get("k", 1))
+    k = opts["k"]
     verdict = is_k_balanced(g, k, seed=seed, budget=budget)
     if not verdict.exhaustive:
         return True, {"skipped": "balance check not exhaustive"}
@@ -99,7 +128,7 @@ def _check_kalai_balance(
 
 
 def _check_ternary_euler(
-    g: Graph, params: dict, seed: int, budget: Budget
+    g: Graph, opts: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
     if _has_ternary_cycle(g, budget):
         return True, {"has_ternary_cycle": True}
@@ -113,7 +142,7 @@ def _check_ternary_euler(
 
 
 def _check_clique_parity(
-    g: Graph, params: dict, seed: int, budget: Budget
+    g: Graph, opts: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
     e, o = independence_parity(g, budget)
     detail: dict[str, Any] = {"parity": [e, o]}
@@ -135,12 +164,10 @@ def _check_clique_parity(
 
 
 def _check_hole_mod_coverage(
-    g: Graph, params: dict, seed: int, budget: Budget
+    g: Graph, opts: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
-    ell = _as_int("ell", params.get("ell", 3))
-    d = params.get("d")
-    d = _as_int("d", d) if d is not None else None
-    cov = residue_coverage(g, ell, d=d, budget=budget)
+    ell = opts["ell"]
+    cov = residue_coverage(g, ell, d=opts["d"], budget=budget)
     detail = {
         "ell": ell,
         "covered": sorted(cov.covered),
@@ -148,23 +175,20 @@ def _check_hole_mod_coverage(
             str(r): cov.witnesses[r].length for r in sorted(cov.witnesses)
         },
     }
-    required = params.get("require", ())
-    if isinstance(required, (int, str)):  # one residue, or "a,b,..." text
-        required = str(required).split(",")
-    missing = [r for r in required if _as_int("require", r) % ell not in cov.covered]
+    missing = [r % ell for r in opts["require"] if r % ell not in cov.covered]
     if missing:
-        detail["missing"] = sorted(int(r) % ell for r in missing)
+        detail["missing"] = sorted(missing)
         return False, detail
     return True, detail
 
 
 def _check_consecutive_holes(
-    g: Graph, params: dict, seed: int, budget: Budget
+    g: Graph, opts: dict, seed: int, budget: Budget
 ) -> tuple[bool, dict]:
-    ell = _as_int("ell", params.get("ell", 4))
+    ell = opts["ell"]
     pairs = consecutive_hole_pairs(g, ell, budget=budget)
     detail = {"ell": ell, "pair_lengths": [t for t, _, _ in pairs]}
-    if params.get("require_pair") and not pairs:
+    if opts["require_pair"] and not pairs:
         return False, detail
     return True, detail
 
@@ -197,12 +221,13 @@ def run_campaign(
         raise HolelabError(f"unknown campaign predicate: {predicate}")
     params = dict(params or {})
     check = _CHECKS[predicate]
+    opts = _read_params(predicate, params)
     start = time.monotonic()
 
     def evaluate(entry: CorpusEntry) -> EntryVerdict:
         budget = Budget(budget_nodes)
         try:
-            ok, detail = check(entry.graph, params, seed, budget)
+            ok, detail = check(entry.graph, opts, seed, budget)
             return EntryVerdict(entry.id, ok, detail)
         except BudgetExceededError as exc:
             return EntryVerdict(

@@ -275,6 +275,7 @@ def _cmd_structures(args) -> int:
     if not (0 <= args.entry < len(entries)):
         raise InputError(f"corpus has no entry {args.entry}")
     mc = Multicover(host=entries[args.entry].graph, **_read_witness(args.witness))
+    mc.host.check_set(mc.ground_set())  # a vertex out of range is an input error
     report = verify_multicover(mc, stable=args.stable)
     row = {
         "valid": report.valid,

@@ -106,14 +106,19 @@ def enumerate_holes(
 ) -> Iterator[Hole]:
     """Stream each hole of g exactly once, canonically oriented.
 
-    On budget exhaustion raises BudgetExceededError; holes already yielded
-    remain valid partial results.
+    The kernel may make budget.remaining DFS extensions. They are added to
+    budget.used when the stream ends, is closed, or raises; a budget shared
+    with other searches then trips at its next tick. On budget exhaustion
+    raises BudgetExceededError; holes already yielded remain valid partial
+    results.
     """
     if min_len < 4:
         raise InputError("minimum hole length is 4")
     budget = ensure_budget(budget)
+    nodes = [0]
     stream = find_holes(
-        g.adjacency_masks(), g.n, min_len, max_len, budget.remaining
+        g.adjacency_masks(), g.n, min_len, max_len, budget.remaining,
+        counter=nodes,
     )
     count = 0
     try:
@@ -121,10 +126,13 @@ def enumerate_holes(
             count += 1
             yield Hole(vs)
     except BudgetExceededError as exc:
-        budget.used = budget.limit if budget.limit is not None else budget.used
         raise BudgetExceededError(
             str(exc), partial=count
         ) from exc
+    finally:
+        # no tick here: an error raised while a dropped generator closes
+        # would only be printed
+        budget.used += nodes[0]
 
 
 def is_d_peripheral(

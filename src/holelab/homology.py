@@ -263,6 +263,8 @@ def is_k_balanced(
     """
     if k < 0:
         raise InputError("balance threshold must be nonnegative")
+    if subgraph_budget < 1:
+        raise InputError("subgraph budget must be at least 1")
     budget = ensure_budget(budget)
 
     def imbalance(subset: Iterable[int]) -> tuple[int, frozenset[int]]:

@@ -1,24 +1,18 @@
 """Hole-search kernel selection.
 
-The compiled kernel (_fastcore, Cython) is used when it built successfully;
-otherwise the pure-Python kernel (_pycore) takes over with identical
-semantics. Set HOLELAB_PURE=1 to force the pure kernel, e.g. to benchmark
-or to rule the extension out while debugging.
+The compiled kernel (_fastcore, hand-written C against the CPython API) is
+used when it was built, which `pip install` does when a C compiler is
+present; otherwise the pure-Python kernel (_pycore) takes over with the
+same stream and the same node counts. Tests and benchmarks that need one
+kernel in particular import it directly.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _pycore
-
-if os.environ.get("HOLELAB_PURE") == "1":
-    _impl = _pycore
-else:
-    try:
-        from . import _fastcore as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pycore
+try:
+    from . import _fastcore as _impl
+except ImportError:
+    from . import _pycore as _impl  # type: ignore[no-redef]
 
 find_holes = _impl.find_holes
 IMPLEMENTATION = _impl.IMPLEMENTATION

@@ -22,8 +22,10 @@ residual graph, in two layers:
 Layer 1 only answers where the sweep of layer 2 answers the same, so the
 prune's verdict does not depend on which layer gave it. The test only ever
 rejects impossible completions, so pruning never changes the emitted set of
-holes, and the compiled kernel, which runs the sweep on every call, agrees
-with this one hole for hole.
+holes. The compiled kernel (_fastcore.c), which runs the sweep on every
+call, gives the same verdicts, so it agrees with this one hole for hole and
+DFS node for DFS node; this kernel is its fallback where no C compiler is
+present, and its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -101,10 +103,13 @@ def _sweep_feasible(
 
     The sweep computes the shortest distance d of every state (branch
     vertex, subset of tracked superedges used, d mod modulus) up to hi and
-    accepts when an anchor state at d >= 2 has an admissible length r >= d
-    with r = d (mod modulus). The verdict depends only on those distances,
-    so they are found level by level (Dial's algorithm), with the vertices
-    of a level held as one bitmask per subset.
+    accepts when a move from a state at its shortest distance reaches the
+    anchor at some d >= 2 that has an admissible length r >= d with
+    r = d (mod modulus). That holds even where the anchor state was reached
+    before: the direct start-anchor edge reaches it at d = 1, which is no
+    return path, so it must not hide the longer ones. The distances are
+    found level by level (Dial's algorithm), with the vertices of a level
+    held as one bitmask per subset.
     """
     start_bit = 1 << start
     branch = start_bit | (1 << anchor)
@@ -168,12 +173,14 @@ def _sweep_feasible(
         # is there an r in [lo, hi] with r >= d and r = d (mod modulus)?
         admissible = d >= 2 and (d >= lo or lo + (d - lo) % modulus <= hi)
         for subset, mask in levels[d].items():
+            # before the settled vertices go: the direct start-anchor edge
+            # settles an anchor state at d = 1, which is no return path
+            if admissible and mask & anchor_bit:
+                return True
             done = settled.get((subset, residue), 0)
             mask &= ~done
             if not mask:
                 continue
-            if admissible and mask & anchor_bit:
-                return True
             settled[subset, residue] = done | mask
             while mask:
                 v_bit = mask & -mask
@@ -195,18 +202,27 @@ def find_holes(
     min_len: int = 4,
     max_len: int | None = None,
     budget: int | None = None,
+    counter: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield each hole of the graph once, canonically oriented.
 
     adj: per-vertex neighbor bitmasks. budget: maximum number of DFS
     extensions before raising BudgetExceededError (partial results already
-    yielded remain valid).
+    yielded remain valid). counter: a one-item list; whenever the kernel
+    hands control back (a hole, the end of the stream, the budget error)
+    counter[0] holds the number of DFS extensions made so far, so a caller
+    can charge them to its own budget. The compiled kernel takes the same
+    arguments and counts the same extensions.
     """
+    if counter is None:
+        counter = [0]
     if min_len < 4:
         min_len = 4
+    if max_len is not None and max_len > n:
+        max_len = n  # no hole can be longer than the graph
+    nodes = counter[0] = 0
     if max_len is not None and max_len < min_len:
         return
-    nodes = 0
     for anchor in range(n):
         anchor_bit = 1 << anchor
         gt_mask = ((1 << n) - 1) & ~((anchor_bit << 1) - 1)
@@ -222,6 +238,7 @@ def find_holes(
             if clos:
                 u = clos & -clos
                 clos_stack[-1] = clos ^ u
+                counter[0] = nodes
                 yield tuple(path) + (u.bit_length() - 1,)
                 continue
             ext = ext_stack[-1]
@@ -236,6 +253,7 @@ def find_holes(
             u = u_bit.bit_length() - 1
             nodes += 1
             if budget is not None and nodes > budget:
+                counter[0] = nodes
                 raise BudgetExceededError(
                     f"hole search exceeded budget of {budget} nodes"
                 )
@@ -267,3 +285,4 @@ def find_holes(
                 ext_stack.append(ext_new)
                 clos_stack.append(clos_new)
                 banned_stack.append(banned)
+    counter[0] = nodes

@@ -8,16 +8,22 @@ oracles.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import pytest
 
+import holelab.kernels
 from holelab.graph import Graph
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_LE7 = DATA_DIR / "graphs_le7.g6"
+FASTCORE_C = Path(holelab.kernels.__file__).parent / "_fastcore.c"
 
 
 def cycle_graph(n: int, offset: int = 0) -> list[tuple[int, int]]:
@@ -117,3 +123,31 @@ def corpus_le7():
     from holelab.io import parse_corpus
 
     return [entry.graph for entry in parse_corpus(str(CORPUS_LE7), "graph6")]
+
+
+@pytest.fixture(scope="session")
+def fastcore(tmp_path_factory):
+    """The compiled kernel, built from _fastcore.c into a temporary
+    directory and loaded from there; skips without a C compiler or
+    Python.h. An installed build is never used, so the tests always run
+    the C source in the tree."""
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(compiler) is None or not Path(include, "Python.h").exists():
+        pytest.skip("no C compiler or Python.h to build the compiled kernel")
+    target = tmp_path_factory.mktemp("fastcore") / (
+        "_fastcore" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    build = subprocess.run(
+        [compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
+         str(FASTCORE_C), "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location(
+        "holelab.kernels._fastcore", target
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

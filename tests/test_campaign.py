@@ -10,7 +10,7 @@ from holelab.campaign import (
     report_as_dict,
     run_campaign,
 )
-from holelab.errors import HolelabError
+from holelab.errors import HolelabError, InputError
 from holelab.graph import Graph
 from holelab.homology import is_k_balanced
 from holelab.io import CorpusEntry, parse_corpus
@@ -147,3 +147,21 @@ def test_predicates_tuple_matches_registry():
     for p in PREDICATES:
         report = run_campaign(p, [])
         assert report.clean and report.verdicts == ()
+
+
+@pytest.mark.parametrize(
+    "predicate, params",
+    [
+        ("kalai_balance", {"k": "x"}),
+        ("kalai_balance", {"k": -1}),
+        ("hole_mod_coverage", {"ell": 0}),
+        ("hole_mod_coverage", {"ell": "x"}),
+        ("hole_mod_coverage", {"d": "x"}),
+        ("hole_mod_coverage", {"require": "0,x"}),
+        ("consecutive_holes", {"ell": "x"}),
+    ],
+)
+def test_params_are_read_before_any_entry(predicate, params):
+    for corpus in ([], entries_of(petersen_graph())):
+        with pytest.raises(InputError):
+            run_campaign(predicate, corpus, params)

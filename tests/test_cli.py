@@ -247,7 +247,8 @@ SHOWER = "shower {ok} --root 0 --depth 1 --drain 1"
 
 # {ok}: a valid corpus; {bad}: a graph6 line whose body does not match n;
 # {latin}: a file that is not ASCII; {missing}: no such file;
-# {witness}: WITNESS; {w}: the case's own witness
+# {witness}: WITNESS; {w}: the case's own witness; {empty}: a corpus with
+# no graphs
 MALFORMED = [
     *(
         pytest.param(command.replace("{c}", "{" + kind + "}"), None, id=f"{name}-{kind}")
@@ -263,6 +264,8 @@ MALFORMED = [
     ),
     pytest.param(STRUCTURES, {**WITNESS, "families": [[2, 3]]}, id="witness-families"),
     pytest.param(STRUCTURES, {**WITNESS, "X": ["0", 1]}, id="witness-vertex"),
+    pytest.param(STRUCTURES, {**WITNESS, "X": [0, 99]}, id="witness-vertex-range"),
+    pytest.param(STRUCTURES, {**WITNESS, "C": [6, -1]}, id="witness-vertex-negative"),
     pytest.param("structures {ok} --witness {latin}", None, id="witness-latin"),
     pytest.param("structures {ok} --entry 1 --witness {witness}", None, id="witness-entry"),
     pytest.param("verify hole_mod_coverage {ok} --param ell=abc", None, id="param-ell"),
@@ -270,6 +273,10 @@ MALFORMED = [
     pytest.param("verify kalai_balance {ok} --param k=x", None, id="param-k"),
     pytest.param("verify hole_mod_coverage {ok} --param require=0,x", None, id="param-require"),
     pytest.param("verify consecutive_holes {ok} --param ell=x", None, id="param-pairs-ell"),
+    pytest.param("verify kalai_balance {empty} --param k=x", None, id="param-k-empty"),
+    pytest.param("verify hole_mod_coverage {empty} --param require=x", None, id="param-require-empty"),
+    pytest.param("verify kalai_balance {empty} --param k=-1", None, id="param-k-range-empty"),
+    pytest.param("verify hole_mod_coverage {empty} --param ell=0", None, id="param-ell-range-empty"),
     pytest.param("shower {ok} --root 9 --depth 1 --drain 1", None, id="shower-root"),
     pytest.param("shower {ok} --root 0 --depth 1 --drain -1", None, id="shower-drain"),
     pytest.param("shower {ok} --entry 1 --root 0 --depth 1 --drain 1", None, id="shower-entry"),
@@ -277,6 +284,8 @@ MALFORMED = [
     pytest.param("holes {ok} --ell 0", None, id="holes-ell"),
     pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),
     pytest.param("balance {ok} --k -1", None, id="balance-k"),
+    pytest.param("balance {ok} --k 1 --subgraph-budget 0", None, id="balance-subgraph-budget-0"),
+    pytest.param("balance {ok} --k 1 --subgraph-budget -1", None, id="balance-subgraph-budget-neg"),
     pytest.param("invariants {ok} --rho 0", None, id="invariants-rho"),
     pytest.param("gadget kneser 5", None, id="gadget-arity"),
     pytest.param("gadget cycle 2", None, id="gadget-value"),
@@ -292,6 +301,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, case_witness):
         "latin": ("latin.txt", "Ch\n# café\n"),
         "witness": ("witness.json", json.dumps(WITNESS)),
         "w": ("w.json", json.dumps(case_witness)),
+        "empty": ("empty.g6", ""),
     }
     paths = {"missing": str(tmp_path / "missing.g6")}
     for key, (name, text) in files.items():

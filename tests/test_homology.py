@@ -267,3 +267,9 @@ def test_exhaustive_balance_charges_its_table_first(monkeypatch):
     budget = Budget(1 << 8)
     assert is_k_balanced(g, 3, budget=budget).balanced
     assert budget.used == 1 << 8
+
+
+@pytest.mark.parametrize("subgraph_budget", [0, -1])
+def test_balance_rejects_subgraph_budget_below_one(subgraph_budget):
+    with pytest.raises(InputError):
+        is_k_balanced(Graph(4, cycle_graph(4)), 1, subgraph_budget=subgraph_budget)
