@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, InputError
 from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
 from .holes import enumerate_holes, residue_coverage
 from .homology import betti_numbers, is_k_balanced
-from .invariants import chi_rho, chromatic_number, clique_number
+from .invariants import _chromatic_with_clique, chi_rho, clique_number
 from .io import FORMATS, CorpusEntry, encode_graph6, parse_corpus
 from .structures import (
     Multicover,
@@ -59,7 +59,7 @@ def _cmd_invariants(args) -> int:
         row: dict[str, Any] = {"entry": entry.id, "n": entry.graph.n}
         try:
             omega, clique = clique_number(entry.graph, budget)
-            chi, coloring = chromatic_number(entry.graph, budget)
+            chi, coloring = _chromatic_with_clique(entry.graph, clique, budget)
             row.update(
                 omega=omega,
                 chi=chi,
@@ -67,7 +67,7 @@ def _cmd_invariants(args) -> int:
                 coloring=list(coloring),
             )
             for rho in args.rho:
-                row[f"chi_rho_{rho}"] = chi_rho(entry.graph, rho, budget)
+                row[f"chi_rho_{rho}"] = chi_rho(entry.graph, rho, budget, chi=chi)
         except BudgetExceededError as exc:
             row["budget_error"] = str(exc)
             row["bounds"] = [exc.lower, exc.upper]

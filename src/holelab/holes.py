@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, ChordError, InputError
 from .graph import Graph, mask_of
-from .invariants import chromatic_number
+from .invariants import _chromatic_exceeds
 from .kernels import find_holes
 
 
@@ -146,10 +146,13 @@ def is_d_peripheral(
     chi(G[X]) > d.
     """
     h.validate(g)
-    exterior = frozenset(g.vertices()) - g.closed_neighborhood(h.vertices)
-    sub, _ = g.induced_subgraph(exterior)
-    chi, _ = chromatic_number(sub, budget)
-    return chi > d, exterior
+    exterior = _exterior(g, h)
+    return _chromatic_exceeds(g, exterior, d, budget), exterior
+
+
+def _exterior(g: Graph, h: Hole) -> frozenset[int]:
+    """The vertices outside h with no neighbor on it."""
+    return frozenset(g.vertices()) - g.closed_neighborhood(h.vertices)
 
 
 def residue_coverage(
@@ -164,17 +167,24 @@ def residue_coverage(
 
     Keeps the first witness per residue in enumeration order. Exhaustive
     within the length window, so stops early once all residues are covered.
+    Holes often share an exterior, so each distinct exterior is tested for
+    d-peripherality once per call.
     """
     if ell < 1:
         raise InputError("modulus must be at least 1")
     budget = ensure_budget(budget)
     witnesses: dict[int, Hole] = {}
+    peripheral: dict[frozenset[int], bool] = {}  # exterior -> chi > d
     for hole in enumerate_holes(g, min_len, max_len, budget):
         r = hole.residue(ell)
         if r in witnesses:
             continue
-        if d is not None and not is_d_peripheral(g, hole, d, budget)[0]:
-            continue
+        if d is not None:
+            exterior = _exterior(g, hole)
+            if exterior not in peripheral:
+                peripheral[exterior] = _chromatic_exceeds(g, exterior, d, budget)
+            if not peripheral[exterior]:
+                continue
         witnesses[r] = hole
         if len(witnesses) == ell:
             break

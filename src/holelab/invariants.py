@@ -111,8 +111,6 @@ def _k_colorable(
         for w in bits(adj[v]):
             forbidden[w] |= 1 << c
 
-    order: list[int] = []  # assignment stack of vertices colored by search
-
     def pick() -> int:
         # highest saturation, then highest degree, then lowest index
         best, key = -1, None
@@ -144,26 +142,62 @@ def _k_colorable(
         for w in touched:
             forbidden[w] &= ~bit
 
-    def solve(remaining: int) -> bool:
+    def solve(remaining: int, used_max: int) -> bool:
+        # used_max: the highest color in use; new-color symmetry allows at
+        # most one color above it
         if remaining == 0:
             return True
         budget.tick()
         v = pick()
         avail = full_k & ~forbidden[v]
-        # new-color symmetry: allow at most one color unused so far
-        used_max = max((c for c in colors if c >= 0), default=-1)
         for c in bits(avail):
             if c > used_max + 1:
                 break
             touched = assign(v, c)
-            if solve(remaining - 1):
+            if solve(remaining - 1, max(used_max, c)):
                 return True
             unassign(v, c, touched)
         return False
 
-    if solve(n - len(seed)):
+    if solve(n - len(seed), len(seed) - 1):
         return colors
     return None
+
+
+def _deepen(
+    g: Graph, lower: int, greedy: list[int], clique: frozenset[int], budget: Budget
+) -> tuple[int, tuple[int, ...]]:
+    """The least k in [lower, greedy bound] for which g is k-colorable.
+
+    The greedy coloring is the witness when no k below its bound works. On
+    budget exhaustion raises with the bracketing bounds proven so far.
+    """
+    upper = max(greedy) + 1
+    try:
+        for k in range(lower, upper):
+            coloring = _k_colorable(g, k, clique, budget)
+            if coloring is not None:
+                return k, tuple(coloring)
+            lower = k + 1
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            "coloring search budget exceeded",
+            lower=lower,
+            upper=upper,
+            partial=tuple(greedy),
+        ) from exc
+    return upper, tuple(greedy)
+
+
+def _chromatic_with_clique(
+    g: Graph, clique: frozenset[int], budget: Budget
+) -> tuple[int, tuple[int, ...]]:
+    """chromatic_number for a caller that already holds a maximum clique."""
+    if g.n == 0:
+        return 0, ()
+    if g.edge_count == 0:
+        return 1, (0,) * g.n
+    return _deepen(g, len(clique), _greedy_coloring(g), clique, budget)
 
 
 def chromatic_number(
@@ -176,41 +210,71 @@ def chromatic_number(
     far in .lower / .upper.
     """
     budget = ensure_budget(budget)
-    if g.n == 0:
-        return 0, ()
-    if g.edge_count == 0:
-        return 1, (0,) * g.n
-    omega, clique = clique_number(g, budget)
+    clique = clique_number(g, budget)[1] if g.edge_count else frozenset()
+    return _chromatic_with_clique(g, clique, budget)
+
+
+def _chromatic_above(g: Graph, floor: int, budget: Budget) -> int:
+    """max(chi(g), floor), settled the cheapest way that works.
+
+    In order: at most floor vertices, or a greedy coloring with at most
+    floor colors, settle it with no search; otherwise one floor-colorability
+    test (when the clique number is at most floor) either settles it or
+    starts the deepening above floor. A caller asking "is chi > t?" reads
+    _chromatic_above(g, t, budget) > t. On budget exhaustion the bounds
+    bracket max(chi(g), floor).
+    """
+    if g.n <= floor:
+        return floor
     greedy = _greedy_coloring(g)
-    upper = max(greedy) + 1
-    lower = omega
-    witness = tuple(greedy)
-    try:
-        for k in range(lower, upper):
-            coloring = _k_colorable(g, k, clique, budget)
-            if coloring is not None:
-                return k, tuple(coloring)
-            lower = k + 1
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            "coloring search budget exceeded",
-            lower=lower,
-            upper=upper,
-            partial=witness,
-        ) from exc
-    return upper, witness
+    if max(greedy) < floor:
+        return floor
+    omega, clique = clique_number(g, budget)
+    return _deepen(g, max(omega, floor), greedy, clique, budget)[0]
 
 
-def chi_rho(g: Graph, rho: int, budget: Budget | None = None) -> int:
-    """Maximum chromatic number over all closed rho-balls; 0 for the null graph."""
+def _chromatic_exceeds(
+    g: Graph, vertices: frozenset[int], t: int, budget: Budget | None = None
+) -> bool:
+    """Is chi(G[vertices]) > t?"""
+    sub, _ = g.induced_subgraph(vertices)
+    return _chromatic_above(sub, t, ensure_budget(budget)) > t
+
+
+def chi_rho(
+    g: Graph, rho: int, budget: Budget | None = None, *, chi: int | None = None
+) -> int:
+    """Maximum chromatic number over all closed rho-balls; 0 for the null graph.
+
+    Each distinct ball is asked only whether it beats the best value so far,
+    and the scan stops once that value reaches chi, the chromatic number of
+    g, when the caller passes it. On budget exhaustion the bounds bracket
+    chi_rho itself: lower is the best value proven so far, upper is chi when
+    given, else the maximum degree plus one.
+    """
     if rho < 1:
         raise InputError("radius must be at least 1")
     budget = ensure_budget(budget)
     best = 0
-    for v in g.vertices():
-        ball, _ = g.induced_subgraph(g.ball(v, rho, closed=True))
-        chi, _ = chromatic_number(ball, budget)
-        best = max(best, chi)
+    seen: set[frozenset[int]] = set()
+    try:
+        for v in g.vertices():
+            if best == chi:
+                break
+            ball = g.ball(v, rho, closed=True)
+            if ball in seen:
+                continue
+            seen.add(ball)
+            sub, _ = g.induced_subgraph(ball)
+            best = _chromatic_above(sub, best, budget)
+    except BudgetExceededError as exc:
+        if chi is None:
+            chi = 1 + max(g.degree(v) for v in g.vertices())
+        raise BudgetExceededError(
+            "local chromatic number budget exceeded",
+            lower=max(best, exc.lower),
+            upper=chi,
+        ) from exc
     return best
 
 
@@ -220,8 +284,8 @@ def invariant_report(
     """Compute the full invariant bundle in one pass."""
     budget = ensure_budget(budget)
     omega, clique = clique_number(g, budget)
-    chi, coloring = chromatic_number(g, budget)
-    rho_values = {rho: chi_rho(g, rho, budget) for rho in radii}
+    chi, coloring = _chromatic_with_clique(g, clique, budget)
+    rho_values = {rho: chi_rho(g, rho, budget, chi=chi) for rho in radii}
     return InvariantReport(
         omega=omega,
         chi=chi,

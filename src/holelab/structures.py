@@ -16,7 +16,7 @@ from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError, RefinementError
 from .graph import Graph, bits, mask_of
 from .holes import Hole, canonical_hole, sequence_defect
-from .invariants import chromatic_number, clique_number
+from .invariants import _chromatic_exceeds, clique_number
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +367,6 @@ def refine_multicover(
     g = mc.host
     xs = sorted(mc.X)
 
-    def chi(vertices: frozenset[int]) -> int:
-        sub, _ = g.induced_subgraph(vertices)
-        return chromatic_number(sub, node_budget)[0]
-
     def f(a: Iterable[int]) -> frozenset[int]:
         am = mask_of(a)
         return frozenset(v for v in mc.C if g.adjacency_mask(v) & am)
@@ -391,7 +387,7 @@ def refine_multicover(
     for idx, (x, c_i) in enumerate(zip(xs, budget.thresholds), start=1):
         n_x = mc.families[x]
         if idx == 1:
-            a = minimal(n_x, lambda s: chi(f(s)) > c_i)
+            a = minimal(n_x, lambda s: _chromatic_exceeds(g, f(s), c_i, node_budget))
             if a is None:
                 raise RefinementError(1, "threshold unreachable at round 1")
             new_c = f(a)
@@ -401,10 +397,10 @@ def refine_multicover(
             assert cur_d is not None
 
             def c_side(s: frozenset[int]) -> bool:
-                return chi(f(s) & cur_c) > c_i
+                return _chromatic_exceeds(g, f(s) & cur_c, c_i, node_budget)
 
             def d_side(s: frozenset[int]) -> bool:
-                return chi(f(s) & cur_d) > c_i
+                return _chromatic_exceeds(g, f(s) & cur_d, c_i, node_budget)
 
             if c_side(n_x):
                 a = minimal(n_x, c_side)
@@ -696,8 +692,7 @@ def _jet_is_peripheral(
     number is monotone under induced subgraphs).
     """
     x = floor - g.closed_neighborhood(jet)
-    sub, _ = g.induced_subgraph(x)
-    return chromatic_number(sub, budget)[0] > d
+    return _chromatic_exceeds(g, x, d, budget)
 
 
 def _longest_cyclic_run(residues: frozenset[int], ell: int) -> int:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, ChordError, InputError
 from holelab.graph import Graph
+from holelab.gadgets import standard_family
+from holelab.invariants import chromatic_number
 from holelab.holes import (
     Hole,
     anticomplete_hole_family,
@@ -107,6 +109,42 @@ def test_d_peripheral():
     for d in range(4):
         if is_d_peripheral(g, hole, d + 1)[0]:
             assert is_d_peripheral(g, hole, d)[0]
+
+
+def test_d_peripheral_matches_chromatic_number_of_exterior():
+    rng = random.Random(43)
+    checked = {True: 0, False: 0}
+    for _ in range(25):
+        g = random_graph(rng, rng.randrange(8, 14), rng.uniform(0.15, 0.35))
+        for hole in list(enumerate_holes(g))[:6]:
+            exterior = frozenset(g.vertices()) - g.closed_neighborhood(hole.vertices)
+            chi = chromatic_number(g.induced_subgraph(exterior)[0])[0]
+            for d in range(0, 5):
+                ok, x = is_d_peripheral(g, hole, d)
+                assert x == exterior
+                assert ok == (chi > d)
+                checked[ok] += 1
+    assert min(checked.values()) > 50
+
+
+def test_residue_coverage_with_d_matches_uncached_scan():
+    # Myc3 (the Grötzsch graph, chi = 4) and seeded random graphs: the
+    # verdict cache by exterior leaves the first witness per residue alone
+    rng = random.Random(5)
+    graphs = [standard_family("mycielski_iterate", 3)]
+    graphs += [random_graph(rng, 12, 0.25) for _ in range(8)]
+    found = 0
+    for g in graphs:
+        for ell, d in ((3, 1), (4, 2), (5, 1)):
+            want = {}
+            for hole in enumerate_holes(g):
+                r = hole.residue(ell)
+                x = frozenset(g.vertices()) - g.closed_neighborhood(hole.vertices)
+                if r not in want and chromatic_number(g.induced_subgraph(x)[0])[0] > d:
+                    want[r] = hole
+            assert residue_coverage(g, ell, d=d).witnesses == want
+            found += len(want)
+    assert found
 
 
 def test_residue_coverage():

@@ -1,13 +1,20 @@
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holelab.invariants as invariants
 from holelab.budget import Budget
+from holelab.cli import EXIT_BUDGET, EXIT_CLEAN, main
 from holelab.errors import BudgetExceededError, InputError
-from holelab.graph import Graph
+from holelab.gadgets import standard_family
+from holelab.graph import Graph, mask_of
 from holelab.invariants import (
+    _chromatic_above,
+    _k_colorable,
     chi_rho,
     chromatic_number,
     clique_number,
@@ -15,6 +22,7 @@ from holelab.invariants import (
 )
 
 from conftest import (
+    CORPUS_LE7,
     complete_graph,
     cycle_graph,
     oracle_chromatic_number,
@@ -132,3 +140,138 @@ def test_omega_le_chi_le_degree_bound(g):
 def test_chi_matches_exhaustive_assignment(g):
     chi, _ = chromatic_number(g)
     assert chi == oracle_chromatic_number(g)
+
+
+def test_k_colorable_branching_is_pinned():
+    # Myc3 (n = 23, omega = 2, chi = 5): node counts and the witness of the
+    # DSATUR search, which invariants prints, must not move
+    g = standard_family("mycielski_iterate", 3)
+    clique = clique_number(g)[1]
+    budget = Budget()
+    assert _k_colorable(g, 4, clique, budget) is None
+    assert budget.used == 692
+    budget = Budget()
+    coloring = _k_colorable(g, 5, clique, budget)
+    assert budget.used == 21
+    assert coloring == [
+        0, 1, 0, 1, 2, 0, 1, 0, 1, 3, 2, 0, 1, 0, 1, 2, 0, 1, 0, 1, 4, 2, 3
+    ]
+
+
+def test_chromatic_above_is_max_of_chi_and_floor():
+    rng = random.Random(61)
+    for _ in range(30):
+        n = rng.randrange(0, 10)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.7) if n < 9 else 0.3)
+        chi = oracle_chromatic_number(g)
+        for t in range(n + 2):
+            assert _chromatic_above(g, t, Budget()) == max(chi, t)
+
+
+def _chi_rho_reference(g, rho):
+    """Every ball searched in full, in vertex order: (chi_rho, the balls in
+    the order chi_rho first meets them, the number of vertices scanned
+    before the running maximum reaches chi(G))."""
+    chi = chromatic_number(g)[0]
+    best, balls, reached = 0, [], None
+    for v in g.vertices():
+        ball = g.ball(v, rho, closed=True)
+        balls.append(mask_of(ball))
+        best = max(best, chromatic_number(g.induced_subgraph(ball)[0])[0])
+        if best == chi and reached is None:
+            reached = v + 1
+    return best, balls, reached
+
+
+def _check_chi_rho(graphs, monkeypatch):
+    calls = []
+    real = invariants._chromatic_above
+
+    def counted(g, floor, budget):
+        calls.append(g.n)
+        return real(g, floor, budget)
+
+    monkeypatch.setattr(invariants, "_chromatic_above", counted)
+    repeated = stopped = 0
+    for g in graphs:
+        chi = chromatic_number(g)[0]
+        for rho in (1, 2, 3):
+            want, balls, reached = _chi_rho_reference(g, rho)
+            del calls[:]
+            assert chi_rho(g, rho) == want
+            # one call per distinct ball
+            assert len(calls) == len(set(balls))
+            repeated += len(set(balls)) < len(balls)
+            del calls[:]
+            assert chi_rho(g, rho, chi=chi) == want
+            # ... met before the maximum reaches chi
+            scanned = balls[: reached if reached is not None else g.n]
+            assert len(calls) == len(set(scanned))
+            stopped += len(scanned) < g.n
+    assert repeated and stopped
+
+
+def test_chi_rho_matches_per_ball_search_on_le7(corpus_le7, monkeypatch):
+    _check_chi_rho(corpus_le7, monkeypatch)
+
+
+def test_chi_rho_matches_per_ball_search_on_random_graphs(monkeypatch):
+    rng = random.Random(17)
+    graphs = [
+        random_graph(rng, rng.randrange(8, 16), rng.uniform(0.1, 0.5))
+        for _ in range(30)
+    ]
+    _check_chi_rho(graphs, monkeypatch)
+
+
+def test_chi_rho_budget_bounds_bracket_chi_rho(tmp_path):
+    # C5 plus K4: chi_rho(2) = chi = 4, reached only at the K4's balls
+    path = tmp_path / "g.txt"
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    edges += [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    out = tmp_path / "out.json"
+    tripped_in_chi_rho = 0
+    lowers = []
+    for limit in range(0, 60):
+        code = main(
+            [
+                "--budget-nodes", str(limit), "--format", "edgelist",
+                "--json-out", str(out), "invariants", str(path), "--rho", "2",
+            ]
+        )
+        (row,) = json.loads(out.read_text())
+        if code == EXIT_CLEAN:
+            assert row["chi_rho_2"] == 4
+            continue
+        assert code == EXIT_BUDGET
+        lower, upper = row["bounds"]
+        assert lower <= 4 <= upper
+        if "chi" in row:
+            tripped_in_chi_rho += 1
+            lowers.append(lower)
+    assert tripped_in_chi_rho
+    # more budget never proves less: lower keeps the best value so far
+    # (3, from the C5's balls) when the K4's ball trips
+    assert lowers == sorted(lowers) and 3 in lowers
+    g = Graph(9, edges)
+    lowers = []
+    for limit in range(0, 40):
+        try:
+            assert chi_rho(g, 2, Budget(limit)) == 4
+        except BudgetExceededError as exc:
+            # without chi(G) the upper bound is the maximum degree plus one
+            assert exc.lower <= 4 <= exc.upper == 4
+            lowers.append(exc.lower)
+    assert lowers == sorted(lowers) and 3 in lowers
+
+
+def test_invariants_json_is_byte_stable(tmp_path):
+    out = tmp_path / "inv.json"
+    code = main(
+        ["--json-out", str(out), "invariants", str(CORPUS_LE7), "--rho", "1", "2", "3"]
+    )
+    assert code == EXIT_CLEAN
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "db1b744e710cb6a90c376344773f7087cf8d2c1538d845eb64cd3d8514c52a9f"
+    )
