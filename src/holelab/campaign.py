@@ -9,7 +9,6 @@ identical configuration produce identical files.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -20,7 +19,7 @@ from .graph import Graph
 from .holes import consecutive_hole_pairs, residue_coverage
 from .homology import independence_parity, is_k_balanced
 from .invariants import clique_number
-from .io import CorpusEntry
+from .io import CorpusEntry, write_json
 
 PREDICATES = (
     "kalai_balance",
@@ -270,7 +269,4 @@ def emit_report(
     report: CampaignReport, path: str, include_timing: bool = False
 ) -> None:
     """Write the JSON report; byte-identical for identical configurations."""
-    payload = report_as_dict(report, include_timing=include_timing)
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_json(report_as_dict(report, include_timing=include_timing), path)

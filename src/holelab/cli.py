@@ -12,18 +12,13 @@ import sys
 from typing import Any
 
 from .budget import DEFAULT_NODE_BUDGET, Budget
-from .campaign import (
-    PREDICATES,
-    emit_report,
-    report_as_dict,
-    run_campaign,
-)
+from .campaign import PREDICATES, report_as_dict, run_campaign
 from .errors import BudgetExceededError, InputError
 from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
 from .holes import enumerate_holes, residue_coverage
 from .homology import betti_numbers, is_k_balanced
 from .invariants import _chromatic_with_clique, chi_rho, clique_number
-from .io import FORMATS, CorpusEntry, encode_graph6, parse_corpus
+from .io import FORMATS, CorpusEntry, encode_graph6, parse_corpus, write_json
 from .structures import (
     Multicover,
     enumerate_jets,
@@ -40,15 +35,6 @@ EXIT_BUDGET = 3
 
 def _load_corpus(path: str, fmt: str) -> list[CorpusEntry]:
     return list(parse_corpus(path, fmt))
-
-
-def _emit(payload: Any, json_out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if json_out:
-        with open(json_out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _cmd_invariants(args) -> int:
@@ -73,7 +59,7 @@ def _cmd_invariants(args) -> int:
             row["bounds"] = [exc.lower, exc.upper]
             budget_hit = True
         results.append(row)
-    _emit(results, args.json_out)
+    write_json(results, args.json_out)
     return EXIT_BUDGET if budget_hit else EXIT_CLEAN
 
 
@@ -111,7 +97,7 @@ def _cmd_holes(args) -> int:
             row["budget_error"] = str(exc)
             budget_hit = True
         results.append(row)
-    _emit(results, args.json_out)
+    write_json(results, args.json_out)
     return EXIT_BUDGET if budget_hit else EXIT_CLEAN
 
 
@@ -135,7 +121,7 @@ def _cmd_homology(args) -> int:
             row["budget_error"] = str(exc)
             budget_hit = True
         results.append(row)
-    _emit(results, args.json_out)
+    write_json(results, args.json_out)
     return EXIT_BUDGET if budget_hit else EXIT_CLEAN
 
 
@@ -164,7 +150,7 @@ def _cmd_balance(args) -> int:
             row["budget_error"] = str(exc)
             budget_hit = True
         results.append(row)
-    _emit(results, args.json_out)
+    write_json(results, args.json_out)
     if found:
         return EXIT_COUNTEREXAMPLE
     return EXIT_BUDGET if budget_hit else EXIT_CLEAN
@@ -220,7 +206,7 @@ def _cmd_shower(args) -> int:
     g = entries[args.entry].graph
     shower = shower_from_bfs(g, args.root, args.depth, args.drain)
     if shower is None:
-        _emit({"shower": None}, args.json_out)
+        write_json({"shower": None}, args.json_out)
         return EXIT_CLEAN
     report, floor = verify_shower(shower)
     row: dict[str, Any] = {
@@ -246,9 +232,9 @@ def _cmd_shower(args) -> int:
                 }
         except BudgetExceededError as exc:
             row["budget_error"] = str(exc)
-            _emit(row, args.json_out)
+            write_json(row, args.json_out)
             return EXIT_BUDGET
-    _emit(row, args.json_out)
+    write_json(row, args.json_out)
     return EXIT_CLEAN
 
 
@@ -282,7 +268,7 @@ def _cmd_structures(args) -> int:
         "failures": list(report.failures),
         "cover_clique_number": report.cover_clique_number,
     }
-    _emit(row, args.json_out)
+    write_json(row, args.json_out)
     return EXIT_CLEAN if report.valid else EXIT_COUNTEREXAMPLE
 
 
@@ -302,10 +288,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         budget_nodes=args.budget_nodes,
     )
-    if args.json_out:
-        emit_report(report, args.json_out, include_timing=args.timing)
-    else:
-        print(json.dumps(report_as_dict(report, include_timing=args.timing), indent=2))
+    write_json(report_as_dict(report, include_timing=args.timing), args.json_out)
     if not report.clean:
         return EXIT_COUNTEREXAMPLE
     if report.any_budget_exceeded:

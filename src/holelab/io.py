@@ -1,4 +1,5 @@
-"""Corpus ingestion: graph6, edge-list, and DIMACS .col formats.
+"""Corpus ingestion (graph6, edge-list, and DIMACS .col formats) and the
+JSON writer of every report.
 
 graph6 encoding is bit-exact per the published format for n <= 62 (short
 form) and n <= 2^36 - 1 (four-byte extended form): six bits per byte,
@@ -9,8 +10,10 @@ the line number.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import InputError
 from .graph import Graph
@@ -157,11 +160,13 @@ def _parse_dimacs(lines: list[tuple[int, str]]) -> Graph:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise InputError("missing DIMACS problem line")
-    if declared_m is not None and declared_m != len(edges):
+    g = Graph(n, edges)  # a repeated edge, in either orientation, counts once
+    if declared_m != g.edge_count:
         raise InputError(
-            f"problem line declares {declared_m} edges, found {len(edges)}"
+            f"problem line declares {declared_m} edges, "
+            f"found {g.edge_count} distinct"
         )
-    return Graph(n, edges)
+    return g
 
 
 def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
@@ -196,3 +201,19 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
         yield CorpusEntry(0, _parse_edgelist(lines), "edgelist")
     else:
         yield CorpusEntry(0, _parse_dimacs(lines), "dimacs")
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+
+def write_json(payload: Any, path: str | None = None) -> None:
+    """Write payload as JSON indented by two, plus a newline, to path or,
+    without one, to stdout; every report goes through here, so the same
+    payload gives the same bytes on either."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)

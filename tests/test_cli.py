@@ -1,6 +1,15 @@
 import json
+import os
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import holelab
 
 from holelab.cli import (
     EXIT_BUDGET,
@@ -12,7 +21,7 @@ from holelab.cli import (
 from holelab.graph import Graph
 from holelab.io import decode_graph6, encode_graph6
 
-from conftest import complete_graph, cycle_graph, petersen_graph
+from conftest import complete_graph, cycle_graph, petersen_graph, random_graph
 
 
 @pytest.fixture
@@ -62,6 +71,63 @@ def test_homology_command(corpus, tmp_path):
     rows = json.loads(out.read_text())
     assert rows[0]["betti"] == [1, 2]
     assert rows[0]["parity"] == [10, 8]
+
+
+def g50_corpus(corpus) -> str:
+    """A seeded G(50, 0.15) with 47,186,286 stable sets: listing them all
+    does not fit in memory, folding leaves about a million faces."""
+    return corpus(random_graph(random.Random(1), 50, 0.15), name="g50.g6")
+
+
+def test_homology_small_budget_refuses_with_exit_3(corpus, tmp_path, capsys):
+    out = tmp_path / "h.json"
+    argv = ["--budget-nodes", "2000000", "--json-out", str(out), "homology", g50_corpus(corpus)]
+    assert main(argv) == EXIT_BUDGET
+    (row,) = json.loads(out.read_text())
+    assert row["n"] == 50 and "budget_error" in row
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_homology_default_budget_within_address_space_limit(corpus):
+    """Under the default budget and a 3 GB address-space limit the run
+    finishes or refuses: exit 0 or 3, never a MemoryError's exit 1."""
+    limit = 3_000_000 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(holelab.__file__).parent.parent))
+    start = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-m", "holelab.cli", "homology", g50_corpus(corpus)],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=60,
+    )
+    assert time.monotonic() - start < 60
+    assert run.returncode in (EXIT_CLEAN, EXIT_BUDGET), run.stderr
+    assert "Traceback" not in run.stderr
+    (row,) = json.loads(run.stdout)
+    if run.returncode == EXIT_CLEAN:
+        assert sum(row["face_counts"]) == 47_186_286
+        assert row["euler_unreduced"] == sum((-1) ** i * b for i, b in enumerate(row["betti"]))
+
+
+def test_stdout_and_json_out_write_the_same_bytes(corpus, tmp_path, capsys):
+    from holelab.campaign import emit_report, run_campaign
+    from holelab.io import parse_corpus
+
+    path = corpus(petersen_graph(), complete_graph(4))
+    out = tmp_path / "o.json"
+    for argv in (["verify", "clique_parity", path], ["homology", path]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CLEAN
+        printed = capsys.readouterr().out
+        assert main(["--json-out", str(out)] + argv) == EXIT_CLEAN
+        assert out.read_text() == printed
+        assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
+    report = run_campaign("clique_parity", list(parse_corpus(path, "graph6")))
+    emit_report(report, str(tmp_path / "r.json"))
+    main(["--json-out", str(out), "verify", "clique_parity", path])
+    assert (tmp_path / "r.json").read_bytes() == out.read_bytes()
 
 
 def test_balance_command_exit_codes(corpus, tmp_path):
@@ -212,6 +278,11 @@ def test_input_error_exit_code(corpus, tmp_path, capsys):
     dimacs = tmp_path / "bad.col"
     dimacs.write_text("p edge 2 1\ne 1 x\n")
     assert main(["--format", "dimacs", "holes", str(dimacs)]) == EXIT_INPUT_ERROR
+    # a repeated edge, in either orientation, is one of the declared m
+    dimacs.write_text("p edge 2 2\ne 1 2\ne 2 1\n")
+    assert main(["--format", "dimacs", "holes", str(dimacs)]) == EXIT_INPUT_ERROR
+    dimacs.write_text("p edge 3 1\ne 1 2\ne 2 1\n")
+    assert main(["--format", "dimacs", "holes", str(dimacs)]) == EXIT_CLEAN
     latin = tmp_path / "latin.g6"
     latin.write_bytes("Ch\n# caf\u00e9\n".encode("latin-1"))
     assert main(["holes", str(latin)]) == EXIT_INPUT_ERROR

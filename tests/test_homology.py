@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, InputError
 from holelab import homology
-from holelab.graph import Graph
+from holelab.gadgets import standard_family
+from holelab.graph import Graph, bits
 from holelab.homology import (
+    FACE_NODES,
     BalanceVerdict,
-    _matrix_rank,
+    BettiReport,
+    _pivot_columns,
     betti_numbers,
     euler_characteristic,
     independence_parity,
+    independence_polynomial,
     is_k_balanced,
 )
 
@@ -135,13 +140,13 @@ def test_budget_propagates():
 # oracles for the exact fast paths
 
 
-def oracle_rank(rows: list[list[int]]) -> int:
-    """Rank over Q by dense Gaussian elimination on Fractions."""
+def oracle_pivots(rows: list[list[int]]) -> set[int]:
+    """Pivot columns over Q by dense Gaussian elimination on Fractions."""
     if not rows or not rows[0]:
-        return 0
+        return set()
     m = [[Fraction(x) for x in row] for row in rows]
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
+    rank, pivots = 0, set()
     for col in range(n_cols):
         pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot is None:
@@ -154,9 +159,61 @@ def oracle_rank(rows: list[list[int]]) -> int:
                 for c in range(col, n_cols):
                     m[r][c] -= factor * m[rank][c]
         rank += 1
+        pivots.add(col)
         if rank == n_rows:
             break
-    return rank
+    return pivots
+
+
+def listing_betti(g: Graph) -> BettiReport:
+    """Every stable set listed as a tuple, the boundary maps of the unfolded
+    complex, and their ranks bottom-up with no clearing: the invariants by
+    their definition, the reference for counting, folding and clearing."""
+    adj = g.adjacency_masks()
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
+    stack = [((), g.full_mask())]
+    while stack:
+        prefix, allowed = stack.pop()
+        for v in bits(allowed):
+            face = prefix + (v,)
+            by_size[len(face)].append(face)
+            nxt = allowed & ~((1 << (v + 1)) - 1) & ~adj[v]
+            if nxt:
+                stack.append((face, nxt))
+    faces = [sorted(group) for group in by_size[1:] if group]
+    counts = tuple(map(len, faces))
+    rank = [0] * (len(faces) + 1)
+    for n in range(1, len(faces)):
+        index = {face: i for i, face in enumerate(faces[n - 1])}
+        rows = [
+            {index[face[:j] + face[j + 1 :]]: (-1) ** j for j in range(len(face))}
+            for face in faces[n]
+        ]
+        rank[n] = len(_pivot_columns(rows))
+    betti = [counts[n] - rank[n] - rank[n + 1] for n in range(len(faces))]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    unreduced = sum((-1) ** n * c for n, c in enumerate(counts))
+    return BettiReport(
+        face_counts=counts,
+        euler_unreduced=unreduced,
+        euler_reduced=unreduced - 1,
+        betti=tuple(betti),
+        total_betti=sum(betti),
+        parity=(1 + sum(counts[1::2]), sum(counts[0::2])),
+    )
+
+
+def check_against_listing(g: Graph) -> BettiReport:
+    """Counting, folding and clearing give the listing oracle's answers."""
+    want = listing_betti(g)
+    assert betti_numbers(g) == want, g
+    assert independence_polynomial(g) == (1,) + want.face_counts
+    assert euler_characteristic(g) == BettiReport(
+        want.face_counts, want.euler_unreduced, want.euler_reduced
+    )
+    assert independence_parity(g) == want.parity
+    return want
 
 
 def subset_imbalances(g: Graph):
@@ -191,15 +248,15 @@ def test_rank_matches_fraction_elimination():
         if n_rows > 1 and rng.random() < 0.3:
             dense[-1] = [-x for x in dense[0]]  # a dependent row
         sparse = [{c: x for c, x in enumerate(row) if x} for row in dense]
-        want = oracle_rank(dense)
-        assert _matrix_rank(sparse) == want, dense
+        want = oracle_pivots(dense)
+        assert _pivot_columns(sparse) == want, dense
         assert sparse == [{c: x for c, x in enumerate(row) if x} for row in dense]
-        deficient += want < min(n_rows, n_cols)
+        deficient += len(want) < min(n_rows, n_cols)
         non_unit += any(abs(x) > 1 for row in dense for x in row)
     assert deficient > 50 and non_unit > 300
 
 
-def _gf2_rank(rows) -> int:
+def _gf2_pivots(rows, budget=None) -> set[int]:
     basis: dict[int, int] = {}  # leading bit -> row as a bitmask of odd entries
     for row in rows:
         mask = sum(1 << c for c, x in row.items() if x % 2)
@@ -209,7 +266,7 @@ def _gf2_rank(rows) -> int:
                 basis[lead] = mask
                 break
             mask ^= basis[lead]
-    return len(basis)
+    return {lead.bit_length() - 1 for lead in basis}
 
 
 def test_betti_over_q_ignores_torsion(monkeypatch):
@@ -231,8 +288,9 @@ def test_betti_over_q_ignores_torsion(monkeypatch):
     rep = betti_numbers(g)
     assert rep.face_counts == (31, 90, 60)
     assert rep.betti == (1,)  # RP^2 is acyclic over Q
+    assert rep == listing_betti(g)
     # H_1(RP^2; Z) = Z/2, so a mod-2 rank reads homology in every dimension
-    monkeypatch.setattr(homology, "_matrix_rank", _gf2_rank)
+    monkeypatch.setattr(homology, "_pivot_columns", _gf2_pivots)
     assert betti_numbers(g).betti == (1, 1, 1)
 
 
@@ -273,3 +331,144 @@ def test_exhaustive_balance_charges_its_table_first(monkeypatch):
 def test_balance_rejects_subgraph_budget_below_one(subgraph_budget):
     with pytest.raises(InputError):
         is_k_balanced(Graph(4, cycle_graph(4)), 1, subgraph_budget=subgraph_budget)
+
+
+def test_counting_and_folding_match_listing_on_le7(corpus_le7):
+    assert len(corpus_le7) == 1253
+    for g in corpus_le7:
+        check_against_listing(g)
+
+
+def test_counting_and_folding_match_listing_on_random_graphs():
+    rng = random.Random(47)
+    nontrivial = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randrange(0, 15), rng.uniform(0.1, 0.7))
+        nontrivial += len(check_against_listing(g).betti) > 1
+    assert nontrivial > 50  # homology above dimension 0 is exercised
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 2), (8, 2)])
+def test_counting_and_folding_match_listing_on_kneser(n, k):
+    check_against_listing(standard_family("kneser", n, k))
+
+
+def test_fold_and_components_shrink_what_is_listed(monkeypatch):
+    # a cone point folds everything away: Ind is contractible
+    assert betti_numbers(Graph(9, cycle_graph(8))).betti == (1,)
+    # two disjoint C5s fold nowhere, but Ind is the join of two circles, S^3
+    two_c5 = Graph(10, cycle_graph(5) + cycle_graph(5, 5))
+    assert betti_numbers(two_c5).betti == (1, 0, 0, 1)
+    check_against_listing(two_c5)
+    # K(6, 3) is a perfect matching on 20 vertices: Ind is the join of ten
+    # 0-spheres, S^9, with 3^10 - 1 faces of which only 10 x 2 are listed
+    listed = []
+    faces = homology._faces
+
+    def counted(adj, live):
+        by_dim = faces(adj, live)
+        listed.append(sum(map(len, by_dim)))
+        return by_dim
+
+    monkeypatch.setattr(homology, "_faces", counted)
+    rep = betti_numbers(standard_family("kneser", 6, 3))
+    assert rep.betti == (1,) + (0,) * 8 + (1,)
+    assert sum(rep.face_counts) == 3**10 - 1
+    assert listed == [2] * 10
+
+
+def test_counting_splits_components_and_refuses_deep_recursion():
+    # stable sets of a path on n vertices: the Fibonacci number F(n + 2)
+    fib = [0, 1]
+    while len(fib) < 403:
+        fib.append(fib[-1] + fib[-2])
+    path = Graph(400, [(i, i + 1) for i in range(399)])
+    budget = Budget()
+    assert sum(independence_polynomial(path, budget)) == fib[402]
+    # without the product over components the memo grows exponentially
+    # along a path: a path on 80 vertices takes more than 10^7 nodes
+    assert budget.used < 500_000
+    # one frame per removed vertex: a long enough path is refused, not a crash
+    with pytest.raises(BudgetExceededError, match="deeper than the interpreter"):
+        independence_polynomial(Graph(3000, [(i, i + 1) for i in range(2999)]))
+
+
+def test_faces_are_charged_before_the_first_is_listed(monkeypatch):
+    g = random_graph(random.Random(3), 24, 0.25)
+
+    class Listed(Exception):
+        pass
+
+    seen = {}
+
+    def listing(adj, live):
+        seen["used"] = budget.used
+        raise Listed
+
+    budget = Budget(None)
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_faces", listing)
+        with pytest.raises(Listed):
+            betti_numbers(g, budget)
+    adj = g.adjacency_masks()
+    parts = homology._components(adj, homology._fold(adj, g.full_mask(), Budget(None)))
+    folded_faces = sum(
+        sum(independence_polynomial(g.induced_subgraph(bits(c))[0])) - 1
+        for c in parts
+    )
+    assert folded_faces > 1000
+    assert seen["used"] >= FACE_NODES * folded_faces
+    # one node short of that charge, nothing is listed
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_faces", listing)
+        with pytest.raises(BudgetExceededError):
+            betti_numbers(g, Budget(seen["used"] - 1))
+    assert betti_numbers(g, Budget(None)) == listing_betti(g)
+
+
+def per_subgraph_sampled_balance(g: Graph, k: int, subgraph_budget: int, seed: int) -> BalanceVerdict:
+    """Sampled k-balance through induced subgraphs: the same subsets in the
+    same order, each through its own induced subgraph and
+    `independence_parity`; the reference for reading each subset's mask in
+    the host graph."""
+    def imbalance(subset):
+        sub, keep = g.induced_subgraph(subset)
+        e, o = independence_parity(sub)
+        return abs(e - o), frozenset(keep)
+
+    checked = cap = 0
+    while cap < g.n and checked + comb(g.n, cap + 1) <= subgraph_budget // 2:
+        cap += 1
+        checked += comb(g.n, cap)
+    subsets = [s for size in range(cap + 1) for s in combinations(range(g.n), size)]
+    rng = random.Random(seed)
+    for _ in range(max(subgraph_budget // 2, 1)):
+        subsets.append([v for v in range(g.n) if rng.random() < 0.5])
+    for subset in subsets:
+        diff, keep = imbalance(subset)
+        if diff > k:
+            return BalanceVerdict(k, False, keep, False, diff)
+    return BalanceVerdict(k, True, None, False)
+
+
+def test_sampled_balance_matches_per_subgraph_path():
+    rng = random.Random(59)
+    verdicts = set()
+    for trial in range(60):
+        g = random_graph(rng, rng.randrange(8, 13), rng.uniform(0.15, 0.6))
+        budget = rng.choice([8, 40, 200])
+        for k in (0, 1, 2, 3):
+            got = is_k_balanced(g, k, subgraph_budget=budget, seed=trial)
+            assert not got.exhaustive
+            assert got == per_subgraph_sampled_balance(g, k, budget, trial), (g, k)
+            verdicts.add(got.balanced)
+    assert verdicts == {True, False}
+
+
+def test_sampled_balance_builds_no_induced_subgraph(monkeypatch):
+    def refused(self, vertices):
+        raise AssertionError("induced_subgraph built in sampled balance")
+
+    g = random_graph(random.Random(2), 12, 0.3)
+    monkeypatch.setattr(Graph, "induced_subgraph", refused)
+    assert not is_k_balanced(g, 1, subgraph_budget=64, seed=5).exhaustive

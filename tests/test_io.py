@@ -112,6 +112,16 @@ def test_parse_corpus_dimacs(tmp_path):
             list(parse_corpus(str(bad3), "dimacs"))
 
 
+def test_dimacs_counts_a_repeated_edge_once(tmp_path):
+    path = tmp_path / "g.col"
+    path.write_text("p edge 3 1\ne 1 2\ne 2 1\n")
+    (entry,) = parse_corpus(str(path), "dimacs")
+    assert entry.graph == Graph(3, [(0, 1)])
+    path.write_text("p edge 2 2\ne 1 2\ne 2 1\n")
+    with pytest.raises(InputError, match="declares 2 edges, found 1 distinct"):
+        list(parse_corpus(str(path), "dimacs"))
+
+
 def test_parse_corpus_rejects_non_ascii(tmp_path):
     path = tmp_path / "latin.g6"
     path.write_bytes("Ch\nCh \u00e9\n".encode("latin-1"))

@@ -204,6 +204,13 @@ def budget_graphs():
 BUDGET_WINDOWS = [(4, None), (5, 8), (6, 6), (4, 200)]
 
 
+def first_hit_count(kernel, g, min_len, max_len):
+    """The first hole and the DFS nodes made until it was handed back."""
+    counter = [0]
+    hole = next(kernel.find_holes(g.adjacency_masks(), g.n, min_len, max_len, counter=counter))
+    return hole, counter[0]
+
+
 def test_node_counts_identical_across_kernels(fastcore):
     cases = [(g, lo, hi) for g in budget_graphs() for lo, hi in BUDGET_WINDOWS]
     cases += [(g, lo, hi) for g in prune_graphs() for lo, hi in PRUNE_WINDOWS]
@@ -213,6 +220,11 @@ def test_node_counts_identical_across_kernels(fastcore):
     }
     assert counts[_pycore] == counts[fastcore]
     assert sum(counts[_pycore]) > 0
+    # a first hit on a findhole gadget, as the windowed first-hit jobs make
+    gadget = findhole_gadget(24, 2, 2, 4)
+    pure = first_hit_count(_pycore, gadget, 24, 24)
+    assert first_hit_count(fastcore, gadget, 24, 24) == pure
+    assert len(pure[0]) == 24 and pure[1] > 0
 
 
 def test_enumerate_holes_charges_kernel_nodes(kernel, monkeypatch):
