@@ -23,12 +23,10 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self, count: int = 1, **context) -> None:
+    def tick(self, count: int = 1) -> None:
         self.used += count
         if self.limit is not None and self.used > self.limit:
-            raise BudgetExceededError(
-                f"search budget of {self.limit} nodes exceeded", **context
-            )
+            raise BudgetExceededError(f"search budget of {self.limit} nodes exceeded")
 
     @property
     def remaining(self) -> int | None:

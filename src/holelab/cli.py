@@ -9,16 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from .budget import DEFAULT_NODE_BUDGET, Budget
 from .campaign import PREDICATES, report_as_dict, run_campaign
 from .errors import BudgetExceededError, InputError
 from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
+from .graph import Graph
 from .holes import enumerate_holes, residue_coverage
 from .homology import betti_numbers, is_k_balanced
 from .invariants import _chromatic_with_clique, chi_rho, clique_number
-from .io import FORMATS, CorpusEntry, encode_graph6, parse_corpus, write_json
+from .io import FORMATS, encode_graph6, parse_corpus, write_json
 from .structures import (
     Multicover,
     enumerate_jets,
@@ -33,127 +34,113 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
 
-def _load_corpus(path: str, fmt: str) -> list[CorpusEntry]:
-    return list(parse_corpus(path, fmt))
+def _per_entry(args, fill: Callable[[dict, Graph, Budget], bool | None]) -> int:
+    """Fill one row per corpus entry, write the rows, and pick the exit code.
 
-
-def _cmd_invariants(args) -> int:
-    budget_hit = False
-    results = []
-    for entry in _load_corpus(args.corpus, args.format):
-        budget = Budget(args.budget_nodes)
-        row: dict[str, Any] = {"entry": entry.id, "n": entry.graph.n}
+    fill(row, graph, budget) adds its keys to a row that starts as
+    {"entry": id}, under a fresh budget of --budget-nodes per entry, and
+    returns True when the row is a counterexample. A budget that runs out
+    adds budget_error to the row. fill runs once on the null graph, with no
+    node limit, before the corpus is read: an argument the library rejects
+    is an input error whatever the corpus holds.
+    """
+    fill({}, Graph(0), Budget(None))
+    found = budget_hit = False
+    rows = []
+    # parsed whole first, so a malformed line fails before any search
+    for entry in list(parse_corpus(args.corpus, args.format)):
+        row: dict[str, Any] = {"entry": entry.id}
         try:
-            omega, clique = clique_number(entry.graph, budget)
-            chi, coloring = _chromatic_with_clique(entry.graph, clique, budget)
-            row.update(
-                omega=omega,
-                chi=chi,
-                clique=sorted(clique),
-                coloring=list(coloring),
-            )
-            for rho in args.rho:
-                row[f"chi_rho_{rho}"] = chi_rho(entry.graph, rho, budget, chi=chi)
-        except BudgetExceededError as exc:
-            row["budget_error"] = str(exc)
-            row["bounds"] = [exc.lower, exc.upper]
-            budget_hit = True
-        results.append(row)
-    write_json(results, args.json_out)
-    return EXIT_BUDGET if budget_hit else EXIT_CLEAN
-
-
-def _cmd_holes(args) -> int:
-    budget_hit = False
-    results = []
-    for entry in _load_corpus(args.corpus, args.format):
-        budget = Budget(args.budget_nodes)
-        row: dict[str, Any] = {"entry": entry.id, "n": entry.graph.n}
-        try:
-            if args.ell is not None:
-                cov = residue_coverage(
-                    entry.graph,
-                    args.ell,
-                    d=args.d,
-                    min_len=args.min_len,
-                    max_len=args.max_len,
-                    budget=budget,
-                )
-                row["ell"] = args.ell
-                row["covered"] = sorted(cov.covered)
-                row["witnesses"] = {
-                    str(r): list(cov.witnesses[r].vertices)
-                    for r in sorted(cov.witnesses)
-                }
-            else:
-                holes = list(
-                    enumerate_holes(
-                        entry.graph, args.min_len, args.max_len, budget
-                    )
-                )
-                row["holes"] = [list(h.vertices) for h in holes]
-                row["count"] = len(holes)
+            found |= bool(fill(row, entry.graph, Budget(args.budget_nodes)))
         except BudgetExceededError as exc:
             row["budget_error"] = str(exc)
             budget_hit = True
-        results.append(row)
-    write_json(results, args.json_out)
-    return EXIT_BUDGET if budget_hit else EXIT_CLEAN
-
-
-def _cmd_homology(args) -> int:
-    budget_hit = False
-    results = []
-    for entry in _load_corpus(args.corpus, args.format):
-        budget = Budget(args.budget_nodes)
-        row: dict[str, Any] = {"entry": entry.id, "n": entry.graph.n}
-        try:
-            rep = betti_numbers(entry.graph, budget)
-            row.update(
-                face_counts=list(rep.face_counts),
-                euler_unreduced=rep.euler_unreduced,
-                euler_reduced=rep.euler_reduced,
-                betti=list(rep.betti),
-                total_betti=rep.total_betti,
-                parity=list(rep.parity),
-            )
-        except BudgetExceededError as exc:
-            row["budget_error"] = str(exc)
-            budget_hit = True
-        results.append(row)
-    write_json(results, args.json_out)
-    return EXIT_BUDGET if budget_hit else EXIT_CLEAN
-
-
-def _cmd_balance(args) -> int:
-    found = False
-    budget_hit = False
-    results = []
-    for entry in _load_corpus(args.corpus, args.format):
-        budget = Budget(args.budget_nodes)
-        row: dict[str, Any] = {"entry": entry.id, "k": args.k}
-        try:
-            verdict = is_k_balanced(
-                entry.graph,
-                args.k,
-                subgraph_budget=args.subgraph_budget,
-                seed=args.seed,
-                budget=budget,
-            )
-            row["balanced"] = verdict.balanced
-            row["exhaustive"] = verdict.exhaustive
-            if verdict.violation is not None:
-                row["violation"] = sorted(verdict.violation)
-                row["imbalance"] = verdict.imbalance
-                found = True
-        except BudgetExceededError as exc:
-            row["budget_error"] = str(exc)
-            budget_hit = True
-        results.append(row)
-    write_json(results, args.json_out)
+        rows.append(row)
+    write_json(rows, args.json_out)
     if found:
         return EXIT_COUNTEREXAMPLE
     return EXIT_BUDGET if budget_hit else EXIT_CLEAN
+
+
+def _cmd_invariants(args) -> int:
+    def fill(row: dict, g: Graph, budget: Budget) -> None:
+        row["n"] = g.n
+        try:
+            omega, clique = clique_number(g, budget)
+            chi, coloring = _chromatic_with_clique(g, clique, budget)
+            row.update(
+                omega=omega, chi=chi, clique=sorted(clique), coloring=list(coloring)
+            )
+            for rho in args.rho:
+                row[f"chi_rho_{rho}"] = chi_rho(g, rho, budget, chi=chi)
+        except BudgetExceededError as exc:
+            # the driver sets budget_error again, in the same place
+            row.update(budget_error=str(exc), bounds=[exc.lower, exc.upper])
+            raise
+
+    return _per_entry(args, fill)
+
+
+def _cmd_holes(args) -> int:
+    def fill(row: dict, g: Graph, budget: Budget) -> None:
+        row["n"] = g.n
+        if args.ell is not None:
+            cov = residue_coverage(
+                g,
+                args.ell,
+                d=args.d,
+                min_len=args.min_len,
+                max_len=args.max_len,
+                budget=budget,
+            )
+            row["ell"] = args.ell
+            row["covered"] = sorted(cov.covered)
+            row["witnesses"] = {
+                str(r): list(cov.witnesses[r].vertices) for r in sorted(cov.witnesses)
+            }
+        else:
+            holes = list(enumerate_holes(g, args.min_len, args.max_len, budget))
+            row["holes"] = [list(h.vertices) for h in holes]
+            row["count"] = len(holes)
+
+    return _per_entry(args, fill)
+
+
+def _cmd_homology(args) -> int:
+    def fill(row: dict, g: Graph, budget: Budget) -> None:
+        row["n"] = g.n
+        rep = betti_numbers(g, budget)
+        row.update(
+            face_counts=list(rep.face_counts),
+            euler_unreduced=rep.euler_unreduced,
+            euler_reduced=rep.euler_reduced,
+            betti=list(rep.betti),
+            total_betti=rep.total_betti,
+            parity=list(rep.parity),
+        )
+
+    return _per_entry(args, fill)
+
+
+def _cmd_balance(args) -> int:
+    def fill(row: dict, g: Graph, budget: Budget) -> bool:
+        row["k"] = args.k
+        verdict = is_k_balanced(
+            g,
+            args.k,
+            subgraph_budget=args.subgraph_budget,
+            seed=args.seed,
+            budget=budget,
+        )
+        row["balanced"] = verdict.balanced
+        row["exhaustive"] = verdict.exhaustive
+        if verdict.violation is None:
+            return False
+        row["violation"] = sorted(verdict.violation)
+        row["imbalance"] = verdict.imbalance
+        return True
+
+    return _per_entry(args, fill)
 
 
 # the number of integer parameters each gadget kind takes
@@ -199,11 +186,16 @@ def _cmd_gadget(args) -> int:
     return EXIT_CLEAN
 
 
-def _cmd_shower(args) -> int:
-    entries = _load_corpus(args.corpus, args.format)
+def _entry_graph(args) -> Graph:
+    """The graph of corpus entry --entry; the whole corpus is parsed."""
+    entries = list(parse_corpus(args.corpus, args.format))
     if not (0 <= args.entry < len(entries)):
         raise InputError(f"corpus has no entry {args.entry}")
-    g = entries[args.entry].graph
+    return entries[args.entry].graph
+
+
+def _cmd_shower(args) -> int:
+    g = _entry_graph(args)
     shower = shower_from_bfs(g, args.root, args.depth, args.drain)
     if shower is None:
         write_json({"shower": None}, args.json_out)
@@ -257,10 +249,7 @@ def _read_witness(path: str) -> dict[str, Any]:
 
 
 def _cmd_structures(args) -> int:
-    entries = _load_corpus(args.corpus, args.format)
-    if not (0 <= args.entry < len(entries)):
-        raise InputError(f"corpus has no entry {args.entry}")
-    mc = Multicover(host=entries[args.entry].graph, **_read_witness(args.witness))
+    mc = Multicover(host=_entry_graph(args), **_read_witness(args.witness))
     mc.host.check_set(mc.ground_set())  # a vertex out of range is an input error
     report = verify_multicover(mc, stable=args.stable)
     row = {
@@ -273,7 +262,7 @@ def _cmd_structures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    corpus = _load_corpus(args.corpus, args.format)
+    corpus = list(parse_corpus(args.corpus, args.format))
     params: dict[str, Any] = {}
     for item in args.param:
         key, _, value = item.partition("=")
@@ -385,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        Budget(args.budget_nodes)  # a negative limit fails here, for every command
         return args.func(args)
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

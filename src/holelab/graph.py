@@ -4,18 +4,17 @@ Adjacency is stored as one Python-int bitmask per vertex, which makes the
 set-level primitives (anticompleteness, covering, stability) single bitwise
 operations. All derived structures elsewhere in the package hold a Graph by
 reference plus index sets, so witnesses stay checkable against the original
-graph.
+graph. Every distance question (distances, balls, connectivity, and the
+shower and path walks elsewhere) goes through the one bitset BFS,
+`bfs_levels`, or `reach`, the union of its levels.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-
-INFINITY = math.inf
 
 
 def _as_set(vertices: Iterable[int]) -> frozenset[int]:
@@ -25,18 +24,11 @@ def _as_set(vertices: Iterable[int]) -> frozenset[int]:
 class Graph:
     """A finite simple loopless graph with vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "labels", "_edge_count")
+    __slots__ = ("n", "_adj", "_edge_count")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Sequence[str] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        if labels is not None and len(labels) != n:
-            raise InputError("labels must match the vertex count")
         adj = [0] * n
         count = 0
         for u, v in edges:
@@ -50,7 +42,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self._adj = tuple(adj)
-        self.labels = tuple(labels) if labels is not None else None
         self._edge_count = count
 
     # -- basic queries ----------------------------------------------------
@@ -127,10 +118,7 @@ class Graph:
             for v in bits(self._adj[u])
             if u < v and v in index
         ]
-        sub_labels = None
-        if self.labels is not None:
-            sub_labels = [self.labels[v] for v in keep]
-        return Graph(len(keep), edges, sub_labels), tuple(keep)
+        return Graph(len(keep), edges), tuple(keep)
 
     def complement(self) -> "Graph":
         edges = [
@@ -139,22 +127,17 @@ class Graph:
             for v in range(u + 1, self.n)
             if not (self._adj[u] >> v) & 1
         ]
-        return Graph(self.n, edges, self.labels)
+        return Graph(self.n, edges)
 
     # -- metric queries ---------------------------------------------------
 
     def distances_from(self, source: int) -> list[float]:
         """BFS distances from one vertex; unreachable vertices get inf."""
-        self.check_vertex(source)
-        dist: list[float] = [INFINITY] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in bits(self._adj[u]):
-                if dist[v] is INFINITY:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        levels = bfs_levels(self._adj, 1 << self.check_vertex(source))
+        dist: list[float] = [inf] * self.n
+        for d, level in enumerate(levels):
+            for v in bits(level):
+                dist[v] = d
         return dist
 
     def distance(self, u: int, v: int) -> float:
@@ -166,15 +149,16 @@ class Graph:
         """Vertices at distance exactly rho (open) or at most rho (closed)."""
         if rho < 0:
             raise InputError("radius must be nonnegative")
-        dist = self.distances_from(v)
-        if closed:
-            return frozenset(u for u in range(self.n) if dist[u] <= rho)
-        return frozenset(u for u in range(self.n) if dist[u] == rho)
+        mask = 0
+        for d, level in enumerate(bfs_levels(self._adj, 1 << self.check_vertex(v))):
+            if closed or d == rho:
+                mask |= level
+            if d == rho:
+                break
+        return set_of(mask)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return sum(1 for d in self.distances_from(0) if d is not INFINITY) == self.n
+        return self.n == 0 or reach(self._adj, 1, -1) == self.full_mask()
 
     # -- set predicates ---------------------------------------------------
 
@@ -220,6 +204,35 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bfs_levels(adj: Sequence[int], sources: int, within: int = -1) -> Iterator[int]:
+    """The BFS levels from a vertex mask, as vertex masks, sources first.
+
+    Level i holds the vertices of within at distance i from the sources in
+    the subgraph induced on within plus the sources; within = -1 allows
+    every vertex. Levels are computed as they are asked for, so a caller
+    that stops early pays for no level beyond the last it read.
+    """
+    seen = level = sources
+    while level:
+        yield level
+        nxt = 0
+        rest = level
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt |= adj[low.bit_length() - 1]
+        level = nxt & within & ~seen
+        seen |= level
+
+
+def reach(adj: Sequence[int], sources: int, within: int) -> int:
+    """The vertex mask that the BFS from sources reaches inside within."""
+    out = 0
+    for level in bfs_levels(adj, sources, within):
+        out |= level
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -58,7 +58,7 @@ from typing import Callable, Iterable
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits, mask_of, reach
 
 # the budget rates of the module docstring: nodes per listed face, and bits
 # of a kept polynomial per node, both at about 20 bytes held per node
@@ -278,15 +278,7 @@ def _components(adj: tuple[int, ...], live: int) -> list[int]:
     """The vertex masks of the connected components of the live graph."""
     out = []
     while live:
-        comp = frontier = live & -live
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-            frontier = reach & live & ~comp
-            comp |= frontier
+        comp = reach(adj, live & -live, live)
         out.append(comp)
         live &= ~comp
     return out

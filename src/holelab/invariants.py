@@ -39,7 +39,7 @@ def clique_number(g: Graph, budget: Budget | None = None) -> tuple[int, frozense
 
     def expand(r_mask: int, r_size: int, p_mask: int) -> None:
         nonlocal best_size, best_mask
-        budget.tick(lower=best_size)
+        budget.tick()
         if not p_mask:
             if r_size > best_size:
                 best_size = r_size

@@ -10,11 +10,12 @@ are deterministic: ties always break toward the lowest vertex index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError, RefinementError
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bfs_levels, bits, mask_of, reach, set_of
 from .holes import Hole, canonical_hole, sequence_defect
 from .invariants import _chromatic_exceeds, clique_number
 
@@ -80,7 +81,6 @@ class Grading:
 
     host: Graph
     parts: tuple[frozenset[int], ...]
-    tau: int | None = None
 
     def ground_set(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -134,13 +134,10 @@ class RefinementBudget:
     """Caller-supplied chromatic thresholds, one per refinement round."""
 
     thresholds: tuple[int, ...]
-    tau: int | None = None
 
     def __post_init__(self):
         if any(c < 0 for c in self.thresholds):
             raise InputError("refinement thresholds must be nonnegative")
-        if self.tau is not None and self.tau < 0:
-            raise InputError("ambient bound must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -606,8 +603,8 @@ def verify_shower(s: Shower) -> tuple[VerificationReport, frozenset[int]]:
             mi = mask_of(s.layers[i])
             if any(g.adjacency_mask(v) & mi for v in s.layers[j]):
                 failures.append(f"edge between layer {i} and layer {j}")
-    last, _ = g.induced_subgraph(s.layers[-1])
-    if not last.is_connected():
+    last = mask_of(s.layers[-1])
+    if reach(g.adjacency_masks(), last & -last, last) != last:
         failures.append("last layer does not induce a connected subgraph")
     return VerificationReport(not failures, tuple(failures)), s.floor()
 
@@ -626,17 +623,12 @@ def shower_from_bfs(
     g.check_vertex(drain)
     if k < 0:
         return None
-    dist = g.distances_from(root)
-    if dist[drain] != k:
+    adj = g.adjacency_masks()
+    layers = list(islice(bfs_levels(adj, 1 << root), k + 1))
+    if len(layers) <= k or not (layers[k] >> drain) & 1:
         return None
-    layers = [frozenset(v for v in g.vertices() if dist[v] == i) for i in range(k + 1)]
-    if k > 0:
-        last, keep = g.induced_subgraph(layers[k])
-        comp_dist = last.distances_from(keep.index(drain))
-        layers[k] = frozenset(
-            keep[i] for i in range(last.n) if comp_dist[i] != float("inf")
-        )
-    shower = Shower(host=g, layers=tuple(layers), drain=drain)
+    layers[k] = reach(adj, 1 << drain, layers[k])
+    shower = Shower(host=g, layers=tuple(map(set_of, layers)), drain=drain)
     report, _ = verify_shower(shower)
     return shower if report.valid else None
 
@@ -751,18 +743,15 @@ def _least_shortest_path(
     level nearer. A shortest path has no chord, so the path is induced.
     """
     adj = g.adjacency_masks()
-    levels = [1 << target]
-    seen = 1 << target
-    while not (seen >> source) & 1:
-        frontier = 0
-        for u in bits(levels[-1]):
-            frontier |= adj[u]
-        frontier &= allowed_mask & ~seen
-        if not frontier:
-            return None
-        budget.tick(frontier.bit_count())
-        seen |= frontier
-        levels.append(frontier)
+    levels = []
+    for level in bfs_levels(adj, 1 << target, allowed_mask):
+        if levels:
+            budget.tick(level.bit_count())
+        levels.append(level)
+        if (level >> source) & 1:
+            break
+    else:
+        return None
     path = [source]
     for level in reversed(levels[:-1]):
         step = adj[path[-1]] & level

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import random
+from collections import deque
 import shutil
 import subprocess
 import sysconfig
@@ -55,6 +56,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+def oracle_distances(g: Graph, source: int) -> list[float]:
+    """BFS distances from one vertex by a queue; unreachable vertices get inf."""
+    dist: list[float] = [float("inf")] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors(u):
+            if dist[v] == float("inf"):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def oracle_holes(g: Graph, min_len: int = 4, max_len: int | None = None) -> set[frozenset[int]]:

@@ -145,16 +145,18 @@ def test_balance_command_exit_codes(corpus, tmp_path):
 
 
 def test_balance_budget_exit_code(corpus, tmp_path):
-    # exhaustive balance charges 2^n nodes before it builds its table
+    # exhaustive balance charges 2^n nodes before it builds its table; the
+    # argument check on the null graph charges no budget of the caller's
     out = tmp_path / "b.json"
-    code = main(
-        [
-            "--json-out", str(out), "--budget-nodes", "2",
-            "balance", corpus(complete_graph(2)), "--k", "1",
-        ]
-    )
-    assert code == EXIT_BUDGET
-    assert "budget_error" in json.loads(out.read_text())[0]
+    for limit in ("2", "0"):
+        code = main(
+            [
+                "--json-out", str(out), "--budget-nodes", limit,
+                "balance", corpus(complete_graph(2)), "--k", "1",
+            ]
+        )
+        assert code == EXIT_BUDGET
+        assert "budget_error" in json.loads(out.read_text())[0]
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -358,6 +360,33 @@ MALFORMED = [
     pytest.param("balance {ok} --k 1 --subgraph-budget 0", None, id="balance-subgraph-budget-0"),
     pytest.param("balance {ok} --k 1 --subgraph-budget -1", None, id="balance-subgraph-budget-neg"),
     pytest.param("invariants {ok} --rho 0", None, id="invariants-rho"),
+    # an argument is rejected before any graph is read, so an empty corpus
+    # fails the same way
+    pytest.param("holes {empty} --ell 0", None, id="holes-ell-empty"),
+    pytest.param("holes {empty} --min-len 3", None, id="holes-min-len-empty"),
+    pytest.param("balance {empty} --k -1", None, id="balance-k-empty"),
+    pytest.param(
+        "balance {empty} --k 1 --subgraph-budget 0",
+        None,
+        id="balance-subgraph-budget-0-empty",
+    ),
+    pytest.param(
+        "balance {empty} --k 1 --subgraph-budget -1",
+        None,
+        id="balance-subgraph-budget-neg-empty",
+    ),
+    pytest.param("invariants {empty} --rho 0", None, id="invariants-rho-empty"),
+    *(
+        pytest.param(
+            "--budget-nodes -1 " + command.replace("{c}", "{" + kind + "}"),
+            None,
+            id=f"budget-nodes-{name}-{kind}",
+        )
+        for name, command in CORPUS_COMMANDS.items()
+        # an empty corpus has no entry 0 for shower and structures: an error anyway
+        for kind in ["ok" if name in ("shower", "structures") else "empty"]
+    ),
+    pytest.param("--budget-nodes -1 gadget cycle 5", None, id="budget-nodes-gadget"),
     pytest.param("gadget kneser 5", None, id="gadget-arity"),
     pytest.param("gadget cycle 2", None, id="gadget-value"),
     pytest.param("--budget-nodes -1 holes {ok}", None, id="budget-nodes"),

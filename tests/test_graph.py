@@ -1,9 +1,21 @@
+import random
+
 import pytest
 
 from holelab.errors import InputError
 from holelab.graph import Graph, bits, graph_from_edges, mask_of, set_of
+from holelab.homology import _components
+from holelab.structures import Shower, shower_from_bfs, verify_shower
 
-from conftest import complete_graph, cycle_graph, petersen_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    oracle_distances,
+    petersen_graph,
+    random_graph,
+)
+
+INF = float("inf")
 
 
 def test_basic_construction():
@@ -28,13 +40,6 @@ def test_rejects_bad_edges():
         Graph(2, [(1, 1)])
     with pytest.raises(InputError):
         Graph(-1)
-
-
-def test_labels():
-    g = Graph(2, [(0, 1)], labels=["a", "b"])
-    assert g.labels == ("a", "b")
-    with pytest.raises(InputError):
-        Graph(2, [], labels=["a"])
 
 
 def test_induced_subgraph_mapping():
@@ -98,3 +103,82 @@ def test_equality_and_hash():
     b = Graph(3, [(1, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != Graph(3, [(0, 2)])
+
+
+# ---------------------------------------------------------------------------
+# every BFS user against the queue BFS of conftest
+
+
+def oracle_components(g: Graph, live: int) -> list[int]:
+    """Component masks of G[live], lowest vertex first, by queue BFS."""
+    sub, keep = g.induced_subgraph(v for v in g.vertices() if live >> v & 1)
+    out, done = [], set()
+    for start in range(sub.n):
+        if start not in done:
+            dist = oracle_distances(sub, start)
+            comp = {v for v in range(sub.n) if dist[v] != INF}
+            done |= comp
+            out.append(mask_of(keep[v] for v in comp))
+    return out
+
+
+def oracle_shower_layers(g: Graph, dist: list[float], k: int, drain: int):
+    """BFS layers of depth k with the last cut to the drain's component in
+    G[last layer]; None when the drain is not at distance k."""
+    if k < 0 or dist[drain] != k:
+        return None
+    layers = [frozenset(v for v in g.vertices() if dist[v] == i) for i in range(k + 1)]
+    last, keep = g.induced_subgraph(layers[k])
+    comp = oracle_distances(last, keep.index(drain))
+    layers[k] = frozenset(keep[i] for i in range(last.n) if comp[i] != INF)
+    return tuple(layers)
+
+
+def check_bfs_users(g: Graph, rng: random.Random) -> None:
+    adj = g.adjacency_masks()
+    connected = g.n == 0 or INF not in oracle_distances(g, 0)
+    assert g.is_connected() == connected
+    for live in {g.full_mask(), rng.getrandbits(g.n)}:
+        assert _components(adj, live) == oracle_components(g, live)
+    for root in g.vertices():
+        dist = oracle_distances(g, root)
+        assert g.distances_from(root) == dist
+        for rho in range(g.n + 1):
+            assert g.ball(root, rho) == {v for v in g.vertices() if dist[v] <= rho}
+            assert g.ball(root, rho, closed=False) == {
+                v for v in g.vertices() if dist[v] == rho
+            }
+        depth = max(d for d in dist if d != INF)
+        for k in range(-1, int(depth) + 2):
+            for drain in g.vertices():
+                s = shower_from_bfs(g, root, k, drain)
+                want = oracle_shower_layers(g, dist, k, drain)
+                assert (s and s.layers) == want
+            # the whole level k is a shower exactly when it induces a
+            # connected subgraph
+            if 0 < k <= depth:
+                levels = tuple(
+                    frozenset(v for v in g.vertices() if dist[v] == i)
+                    for i in range(k + 1)
+                )
+                last, _ = g.induced_subgraph(levels[k])
+                whole = Shower(host=g, layers=levels, drain=min(levels[k]))
+                want = INF not in oracle_distances(last, 0)
+                assert verify_shower(whole)[0].valid == want
+
+
+def test_bfs_users_match_queue_bfs_on_le7(corpus_le7):
+    rng = random.Random(17)
+    for g in corpus_le7:
+        check_bfs_users(g, rng)
+
+
+def test_bfs_users_match_queue_bfs_on_random_graphs():
+    rng = random.Random(2024)
+    disconnected = 0
+    for _ in range(150):
+        p = rng.choice((0.08, 0.15, 0.3, 0.5))
+        g = random_graph(rng, rng.randrange(1, 16), p)
+        disconnected += not g.is_connected()
+        check_bfs_users(g, rng)
+    assert disconnected > 30

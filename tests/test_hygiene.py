@@ -1,0 +1,69 @@
+"""Source hygiene checks on the package, by its syntax tree alone."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import holelab
+
+PACKAGE = Path(holelab.__file__).parent
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names each import statement binds, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def annotation_of(node: ast.AST) -> ast.AST | None:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    return None
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, counting quoted annotations and the
+    strings listed in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        ann = annotation_of(node)
+        for sub in ast.walk(ann) if ann is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= used_names(ast.parse(sub.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = used_names(tree)
+        for name, line in imported_names(tree).items():
+            if name not in used:
+                unused.append(f"{path.relative_to(PACKAGE.parent)}:{line}: {name}")
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse(
+        "from typing import Any, Sequence\nimport os.path\n"
+        "def f(x: 'Sequence[int]') -> None:\n    return os.sep\n"
+    )
+    used = used_names(tree)
+    assert [n for n in imported_names(tree) if n not in used] == ["Any"]

@@ -226,8 +226,6 @@ def test_refine_multicover_unreachable_threshold():
 def test_refinement_budget_validation():
     with pytest.raises(InputError):
         RefinementBudget((-1,))
-    with pytest.raises(InputError):
-        RefinementBudget((0,), tau=-2)
     _, mc = multicover_gadget(2, 2, 3)
     with pytest.raises(InputError):
         refine_multicover(mc, RefinementBudget((0,)))  # wrong arity
