@@ -94,12 +94,16 @@ def _read_params(predicate: str, params: dict) -> dict:
         if ell < 1:
             raise InputError("modulus must be at least 1")
         d = params.get("d")
+        if d is not None:
+            d = _as_int("d", d)
+            if d < 0:
+                raise InputError("d must be nonnegative")
         required = params.get("require", ())
         if isinstance(required, (int, str)):  # one residue, or "a,b,..." text
             required = str(required).split(",")
         return {
             "ell": ell,
-            "d": _as_int("d", d) if d is not None else None,
+            "d": d,
             "require": [_as_int("require", r) for r in required],
         }
     if predicate == "consecutive_holes":

@@ -145,6 +145,8 @@ def is_d_peripheral(
     monotone under taking induced subgraphs. The hole is d-peripheral when
     chi(G[X]) > d.
     """
+    if d < 0:
+        raise InputError("d must be nonnegative")
     h.validate(g)
     exterior = _exterior(g, h)
     return _chromatic_exceeds(g, exterior, d, budget), exterior
@@ -172,6 +174,8 @@ def residue_coverage(
     """
     if ell < 1:
         raise InputError("modulus must be at least 1")
+    if d is not None and d < 0:
+        raise InputError("d must be nonnegative")
     budget = ensure_budget(budget)
     witnesses: dict[int, Hole] = {}
     peripheral: dict[frozenset[int], bool] = {}  # exterior -> chi > d

@@ -1,11 +1,14 @@
 /* Compiled hole-search kernel, written against the CPython C API.
 
 Same algorithm as the pure-Python kernel (see _pycore.py for the full
-description): anchored DFS over induced paths with a chain-contraction
-completion-feasibility prune. Bitsets are fixed-width word arrays instead of
-Python ints. The emitted hole stream is identical to the pure kernel's:
-superedges are discovered in the same order, the same odd superedges are
-tracked, and pruning is sound, so DFS emissions coincide exactly.
+description): anchored DFS over induced paths with a completion-feasibility
+prune in two layers, a BFS and a chain-contraction sweep. Bitsets are
+fixed-width word arrays instead of Python ints, and the contraction is
+built afresh for each call that reaches the sweep, where the pure kernel
+patches the one it kept. The emitted hole stream is identical to the pure
+kernel's: superedges are discovered in the same order, the same odd
+superedges are tracked, and pruning is sound, so DFS emissions coincide
+exactly.
 
 Build by hand (setup.py does the same through setuptools):
 
@@ -62,6 +65,7 @@ typedef struct {
     u64 *gt;                     /* vertices greater than the current anchor */
     u64 *ext, *clos, *banned;    /* per-frame extension/closure/banned sets */
     u64 *live, *branch, *scratch;  /* completion-feasibility scratch */
+    u64 *seen, *frontier;        /* the prune's BFS layer */
     int *ints;                   /* one block holding the int arrays below */
     int *path, *vert_index, *bucket_head;
     int *adj_off, *adj_end, *adj_to, *adj_wt, *adj_odd;  /* CSR over the branch graph */
@@ -127,6 +131,44 @@ static int gcd(int a, int b)
     return a;
 }
 
+/* Layer 1 of the prune (see _pycore._completion_feasible): a BFS from
+   start over live, at most hi levels deep. Returns 0 when the anchor is out
+   of reach, 1 when it is first reached at a level >= lo, and -1 when it is
+   reached below lo, where only the sweep can tell. These are the sweep's
+   own verdicts, so the layer changes no DFS node. */
+static int bfs_layer(HoleSearch *s, int start, int lo, int hi)
+{
+    int nw = s->nw;
+    u64 *seen = s->seen, *frontier = s->frontier, *reach = s->scratch;
+    memset(seen, 0, nw * sizeof(u64));
+    memset(frontier, 0, nw * sizeof(u64));
+    set_bit(seen, start);
+    set_bit(frontier, start);
+    for (int level = 1; level <= hi; level++) {
+        memset(reach, 0, nw * sizeof(u64));
+        for (int i = 0; i < nw; i++) {
+            u64 word = frontier[i];
+            while (word) {
+                const u64 *row = s->adj + ((i << 6) + ctz64(word)) * nw;
+                word &= word - 1;
+                for (int t = 0; t < nw; t++)
+                    reach[t] |= row[t];
+            }
+        }
+        u64 any = 0;
+        for (int i = 0; i < nw; i++) {
+            frontier[i] = reach[i] & s->live[i] & ~seen[i];
+            seen[i] |= frontier[i];
+            any |= frontier[i];
+        }
+        if (get_bit(frontier, s->anchor))
+            return level >= lo ? 1 : -1;
+        if (!any)
+            return 0;
+    }
+    return 0;
+}
+
 /* Sound test: can a simple path of length in [lo, hi] from start back to
    the current anchor still exist inside `allowed`? */
 static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int lo, int hi)
@@ -140,6 +182,9 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
         s->live[i] = allowed[i];
     set_bit(s->live, start);
     set_bit(s->live, anchor);
+    int settled = bfs_layer(s, start, lo, hi);
+    if (settled >= 0)
+        return settled;
     /* branch vertices: residual degree != 2, plus start and anchor; each
        gets one slot per residual edge in the CSR over the branch graph */
     memset(s->branch, 0, nw * sizeof(u64));
@@ -462,7 +507,7 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     }
     s->exhausted = s->has_max && s->max_len < s->min_len;
     size_t nw = s->nw, rows = n > 0 ? n : 1, cap = n + 2;
-    u64 *w = s->words = PyMem_Calloc((rows + 4 + 3 * cap) * nw, sizeof(u64));
+    u64 *w = s->words = PyMem_Calloc((rows + 6 + 3 * cap) * nw, sizeof(u64));
     if (w == NULL)
         goto nomem;
     s->adj = w; w += rows * nw;
@@ -470,6 +515,8 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     s->live = w; w += nw;
     s->branch = w; w += nw;
     s->scratch = w; w += nw;
+    s->seen = w; w += nw;
+    s->frontier = w; w += nw;
     s->ext = w; w += cap * nw;
     s->clos = w; w += cap * nw;
     s->banned = w;

@@ -19,17 +19,31 @@ residual graph, in two layers:
    residue) states decides whether a return path with an admissible total
    length can still exist.
 
+The sweep's verdict depends on the contraction through three facts only:
+the superedges with their weights, which odd superedges are the first
+MAX_TRACKED_ODD in (lower end, first neighbour) order, and the gcd of the
+even weights. One DFS step removes one vertex and its neighbours from the
+residual graph, and siblings differ only in their start vertex, so the
+contraction is not rebuilt per call: the prune keeps the last one it made
+at each DFS depth and patches it, or the one of the depth above, redoing
+only the superedges through vertices whose residual neighbours or role
+changed (see _patch). A patch reproduces all three
+facts exactly, so verdicts do not depend on how the contraction was made.
+
 Layer 1 only answers where the sweep of layer 2 answers the same, so the
 prune's verdict does not depend on which layer gave it. The test only ever
 rejects impossible completions, so pruning never changes the emitted set of
-holes. The compiled kernel (_fastcore.c), which runs the sweep on every
-call, gives the same verdicts, so it agrees with this one hole for hole and
-DFS node for DFS node; this kernel is its fallback where no C compiler is
-present, and its oracle in the tests.
+holes. The compiled kernel (_fastcore.c) runs the same two layers, with a
+contraction built afresh for each call that reaches the sweep, and gives
+the same verdicts, so it agrees with this one hole for hole and DFS node
+for DFS node; this kernel is its fallback where no C compiler is present,
+and its oracle in the tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -39,6 +53,13 @@ IMPLEMENTATION = "pure"
 
 MAX_TRACKED_ODD = 6
 MAX_RESIDUE_MOD = 64
+TRACKED_BITS = (1 << MAX_TRACKED_ODD) - 1
+# A kept contraction is patched when the patch (sized as in _contraction_at)
+# is at most 1/REBUILD_RATIO of the live vertices, and the contraction is
+# built afresh otherwise: on random, Mycielski and gadget residuals of 20 to
+# 1000 vertices, patches of a third to a half of that size took about as
+# long as a build, and smaller ones less.
+REBUILD_RATIO = 3
 
 
 def _completion_feasible(
@@ -48,6 +69,8 @@ def _completion_feasible(
     anchor: int,
     lo: int,
     hi: int,
+    contractions: list[_Contraction | None],
+    depth: int,
 ) -> bool:
     """Can some simple path from start to anchor with length in [lo, hi]
     (lo >= 2) exist within `allowed`?
@@ -55,16 +78,17 @@ def _completion_feasible(
     Layer 1 is a BFS over the residual graph `allowed | start | anchor`,
     at most hi levels deep. Every walk the sweep of _sweep_feasible counts
     is a walk in the residual graph, so an anchor beyond hi levels means the
-    sweep rejects too. An anchor first reached at depth d >= lo (so d >= 2:
+    sweep rejects too. An anchor first reached at level d >= lo (so d >= 2:
     the direct start-anchor edge never settles a call) gives a shortest
     path of admissible length; the sweep finds that state at distance d,
     since no walk is shorter, and accepts. Only calls that reach the anchor
-    at a depth below lo go on to the sweep.
+    at a level below lo go on to the sweep, which reads the contraction
+    that _contraction_at keeps for this DFS depth in `contractions`.
     """
     live = allowed | (1 << start) | (1 << anchor)
     anchor_bit = 1 << anchor
     seen = frontier = 1 << start
-    for depth in range(1, hi + 1):
+    for level in range(1, hi + 1):
         reach = 0
         while frontier:
             low = frontier & -frontier
@@ -72,13 +96,351 @@ def _completion_feasible(
             frontier ^= low
         frontier = reach & live & ~seen
         if frontier & anchor_bit:
-            if depth >= lo:
+            if level >= lo:
                 return True
-            return _sweep_feasible(adj, live, start, anchor, lo, hi)
+            con = _contraction_at(
+                adj, contractions, depth, live, (1 << start) | anchor_bit
+            )
+            return _sweep(con, start, anchor, lo, hi)
         if not frontier:
             return False
         seen |= frontier
     return False
+
+
+@dataclass(slots=True)
+class _Contraction:
+    """The chain contraction of the residual graph `live`, in which the
+    vertices of `forced` (start and anchor) are branch vertices whatever
+    their degree, in the form the sweep reads.
+
+    `branch` holds `forced` and the vertices of residual degree other than
+    2; moves[v] may be empty, or missing, for a branch vertex v without
+    superedges. A superedge is a maximal chain of degree-2 vertices between branch
+    vertices x < y, named by the tuple (x, first, y, weight), where first
+    is the neighbour of x on the chain.
+
+    moves[v] maps weight << MAX_TRACKED_ODD | bit to the mask of the other
+    ends of v's superedges of that weight and subset bit; bit is 0 unless
+    the superedge is tracked. extra[x, y, weight << MAX_TRACKED_ODD]
+    counts the untracked superedges joining x and y with that weight
+    beyond the first. `odd` lists the odd superedges in order; the first
+    MAX_TRACKED_ODD of them are tracked, each with the subset bit bits[it].
+    Which bit is which does not matter to the sweep, so a patch leaves a
+    kept superedge its bit. `evens` counts the even superedges by weight.
+    """
+
+    live: int
+    forced: int
+    branch: int
+    moves: dict[int, dict[int, int]]
+    extra: dict[tuple[int, int, int], int]
+    odd: list[tuple[int, int, int, int]]
+    bits: dict[tuple[int, int, int, int], int]
+    evens: dict[int, int]
+
+
+def _contract(adj: Sequence[int], live: int, forced: int) -> _Contraction:
+    """The contraction of `live` with branch vertices `forced`, from
+    scratch."""
+    branch = forced
+    # scanning the binary digits beats peeling low bits off a wide mask
+    for v, digit in enumerate(bin(live)[:1:-1]):
+        if digit == "1" and (adj[v] & live).bit_count() != 2:
+            branch |= 1 << v
+    con = _Contraction(live, forced, branch, {}, {}, [], {}, {})
+    moves, extra, bits, evens = con.moves, con.extra, con.bits, con.evens
+    append_odd = con.odd.append
+    # Superedges are found in order: a chain is walked once, from its lower
+    # end, and its last interior vertex is marked so that the other end
+    # skips it.
+    walked = n_tracked = 0
+    rest = branch
+    while rest:
+        u_bit = rest & -rest
+        rest ^= u_bit
+        u = u_bit.bit_length() - 1
+        moves_u = moves.setdefault(u, {})
+        nbrs = adj[u] & live & ~walked
+        while nbrs:
+            w_bit = nbrs & -nbrs
+            nbrs ^= w_bit
+            if w_bit & branch:
+                # A direct edge, the most common superedge where chains are
+                # short, has its own copy of the steps below: its weight is
+                # 1, and no other superedge is parallel to it.
+                if w_bit < u_bit:
+                    continue
+                v = w_bit.bit_length() - 1
+                key = 1 << MAX_TRACKED_ODD
+                edge = (u, v, v, 1)
+                append_odd(edge)
+                if n_tracked < MAX_TRACKED_ODD:
+                    bits[edge] = bit = 1 << n_tracked
+                    key |= bit
+                    n_tracked += 1
+                moves_u[key] = moves_u.get(key, 0) | w_bit
+                moves_v = moves.setdefault(v, {})
+                moves_v[key] = moves_v.get(key, 0) | u_bit
+                continue
+            prev_bit, cur_bit, weight = u_bit, w_bit, 1
+            while not cur_bit & branch:
+                nxt = adj[cur_bit.bit_length() - 1] & live & ~prev_bit
+                prev_bit, cur_bit = cur_bit, nxt & -nxt
+                weight += 1
+            if cur_bit == u_bit:
+                nbrs &= ~prev_bit  # a chain from u back to u: no superedge
+                continue
+            walked |= prev_bit
+            v = cur_bit.bit_length() - 1
+            key = weight << MAX_TRACKED_ODD
+            if not weight & 1:
+                evens[weight] = evens.get(weight, 0) + 1
+            else:
+                edge = (u, w_bit.bit_length() - 1, v, weight)
+                append_odd(edge)
+                if n_tracked < MAX_TRACKED_ODD:
+                    bits[edge] = bit = 1 << n_tracked
+                    key |= bit
+                    n_tracked += 1
+            ends = moves_u.get(key, 0)
+            if ends & cur_bit:
+                extra[u, v, key] = extra.get((u, v, key), 0) + 1
+                continue
+            moves_u[key] = ends | cur_bit
+            moves_v = moves.setdefault(v, {})
+            moves_v[key] = moves_v.get(key, 0) | u_bit
+    return con
+
+
+def _walk(
+    adj: Sequence[int], live: int, branch: int, prev_bit: int, cur_bit: int
+) -> tuple[int, int, int, int]:
+    """Follow a chain from the edge prev-cur to the first branch vertex,
+    or back to prev on a cycle without one: (that end, the vertex before
+    it, the length walked, the mask of the vertices passed)."""
+    stop = prev_bit
+    weight, passed = 1, 0
+    while not cur_bit & branch and cur_bit != stop:
+        passed |= cur_bit
+        nxt = adj[cur_bit.bit_length() - 1] & live & ~prev_bit
+        prev_bit, cur_bit = cur_bit, nxt & -nxt
+        weight += 1
+    return cur_bit, prev_bit, weight, passed
+
+
+def _chains_through(
+    adj: Sequence[int], live: int, branch: int, through: int
+) -> set[tuple[int, int, int, int]]:
+    """The superedges of the contraction (live, branch) that hold a vertex
+    of `through`."""
+    chains = set()
+    seen = 0  # vertices of the chains walked so far
+    while through:
+        v_bit = through & -through
+        through ^= v_bit
+        if v_bit & seen:
+            continue
+        v = v_bit.bit_length() - 1
+        nbrs = adj[v] & live
+        if v_bit & branch:
+            while nbrs:
+                w_bit = nbrs & -nbrs
+                nbrs ^= w_bit
+                if w_bit & seen:
+                    continue
+                end, last, weight, passed = _walk(adj, live, branch, v_bit, w_bit)
+                seen |= passed
+                if end == v_bit:
+                    continue  # a chain from v back to v: no superedge
+                if v_bit < end:
+                    chains.add((v, w_bit.bit_length() - 1, end.bit_length() - 1, weight))
+                else:
+                    chains.add((end.bit_length() - 1, last.bit_length() - 1, v, weight))
+            continue
+        # v is inside a chain: walk to both of its ends
+        a_bit = nbrs & -nbrs
+        end_a, last_a, weight_a, passed = _walk(adj, live, branch, v_bit, a_bit)
+        seen |= passed | v_bit
+        if end_a == v_bit:
+            continue  # a cycle without branch vertices
+        end_b, last_b, weight_b, passed = _walk(adj, live, branch, v_bit, nbrs ^ a_bit)
+        seen |= passed
+        if end_a == end_b:
+            continue
+        if end_a > end_b:
+            end_a, last_a, end_b = end_b, last_b, end_a
+        chains.add((
+            end_a.bit_length() - 1, last_a.bit_length() - 1,
+            end_b.bit_length() - 1, weight_a + weight_b,
+        ))
+    return chains
+
+
+def _toggle(
+    con: _Contraction, owned: set[int], x: int, y: int, key: int, step: int
+) -> None:
+    """Add (step 1) or remove (step -1) one superedge x < y moving under
+    `key` in con.moves.
+
+    con may share moves dicts with the contraction it was patched from;
+    `owned` holds the vertices whose dict is its own, and any other is
+    copied before it changes.
+    """
+    moves = con.moves
+    if not key & TRACKED_BITS:
+        pair = (x, y, key)
+        more = con.extra.get(pair, 0)
+        if step > 0 and x in moves and moves[x].get(key, 0) >> y & 1:
+            con.extra[pair] = more + 1
+            return
+        if step < 0 and more:
+            if more > 1:
+                con.extra[pair] = more - 1
+            else:
+                del con.extra[pair]
+            return
+    for v, end in ((x, y), (y, x)):
+        moves_v = moves.get(v)
+        if moves_v is None or v not in owned:
+            moves_v = moves[v] = dict(moves_v) if moves_v else {}
+            owned.add(v)
+        # the bit of `end` is clear when adding and set when removing
+        ends = moves_v.get(key, 0) ^ (1 << end)
+        if ends:
+            moves_v[key] = ends
+        else:
+            del moves_v[key]
+            if not moves_v:
+                del moves[v]
+
+
+def _patch(
+    adj: Sequence[int], con: _Contraction, live: int, forced: int
+) -> _Contraction:
+    """The contraction of `live` with branch vertices `forced`, made from
+    con by redoing only the superedges that change; con is left as it
+    was."""
+    old_live, old_branch = con.live, con.branch
+    changed = old_live ^ live
+    # the vertices whose residual neighbours or forced status change
+    dirty = changed | (con.forced ^ forced)
+    rest = changed
+    while rest:
+        v_bit = rest & -rest
+        rest ^= v_bit
+        dirty |= adj[v_bit.bit_length() - 1]
+    dirty &= old_live | live
+    branch = (old_branch & ~dirty) | forced
+    rest = dirty & live & ~forced
+    while rest:
+        v_bit = rest & -rest
+        rest ^= v_bit
+        if (adj[v_bit.bit_length() - 1] & live).bit_count() != 2:
+            branch |= v_bit
+    # A chain without a vertex of `redo` is a superedge on both sides: its
+    # inside keeps its neighbours, its ends stay branch vertices.
+    redo = dirty & ~(old_branch & branch)
+    gone = _chains_through(adj, old_live, old_branch, redo & old_live)
+    made = _chains_through(adj, live, branch, redo & live)
+    new = _Contraction(
+        live, forced, branch, dict(con.moves), dict(con.extra),
+        list(con.odd), dict(con.bits), dict(con.evens),
+    )
+    owned: set[int] = set()
+    odd, bits, evens = new.odd, new.bits, new.evens
+    for edge in gone:
+        x, _, y, weight = edge
+        bit = 0
+        if weight & 1:
+            bit = bits.pop(edge, 0)
+            del odd[bisect_left(odd, edge)]
+        else:
+            count = evens[weight] - 1
+            if count:
+                evens[weight] = count
+            else:
+                del evens[weight]
+        _toggle(new, owned, x, y, weight << MAX_TRACKED_ODD | bit, -1)
+    for edge in made:
+        weight = edge[3]
+        if weight & 1:
+            insort(odd, edge)
+        else:
+            evens[weight] = evens.get(weight, 0) + 1
+    # Hand the bits of the superedges no longer among the first
+    # MAX_TRACKED_ODD odd ones to those now among them. A superedge of
+    # `made` takes its bit when it is added below.
+    tracked = odd[:MAX_TRACKED_ODD]
+    if any(edge not in bits for edge in tracked):
+        for edge in [edge for edge in bits if edge not in tracked]:
+            _retrack(new, owned, edge, bits.pop(edge), 0, made)
+        free = [1 << i for i in range(MAX_TRACKED_ODD) if 1 << i not in bits.values()]
+        for edge in tracked:
+            if edge not in bits:
+                bits[edge] = free.pop(0)
+                _retrack(new, owned, edge, 0, bits[edge], made)
+    for edge in made:
+        x, _, y, weight = edge
+        _toggle(new, owned, x, y, weight << MAX_TRACKED_ODD | bits.get(edge, 0), 1)
+    return new
+
+
+def _retrack(
+    con: _Contraction,
+    owned: set[int],
+    edge: tuple[int, int, int, int],
+    was: int,
+    now: int,
+    made: set[tuple[int, int, int, int]],
+) -> None:
+    """Move a kept odd superedge from subset bit `was` to `now`."""
+    if edge not in made:
+        x, _, y, weight = edge
+        _toggle(con, owned, x, y, weight << MAX_TRACKED_ODD | was, -1)
+        _toggle(con, owned, x, y, weight << MAX_TRACKED_ODD | now, 1)
+
+
+def _contraction_at(
+    adj: Sequence[int],
+    contractions: list[_Contraction | None],
+    depth: int,
+    live: int,
+    forced: int,
+) -> _Contraction:
+    """The contraction of `live` for a call at this DFS depth, and from now
+    on the one kept for this depth.
+
+    It is patched from the one kept for this depth (a sibling's, which
+    differs in the start vertex only) or for the depth above (the
+    parent's, which differs in the neighbours of the vertex the path grew
+    by), whichever needs the smaller patch, and built afresh when both
+    would need more than 1/REBUILD_RATIO of the live vertices. A patch
+    redoes the superedges at the vertices that come or go, so its size is
+    counted as those vertices and their edges, plus the vertices that only
+    become or stop being forced: that changes a superedge only where the
+    vertex has degree 2.
+    """
+    best = None
+    fewest = live.bit_count() // REBUILD_RATIO
+    for source in contractions[depth], contractions[depth - 1]:
+        if source is None:
+            continue
+        changed = source.live ^ live
+        size = (changed | source.forced ^ forced).bit_count()
+        around = source.live | live
+        while changed and size <= fewest:
+            v_bit = changed & -changed
+            changed ^= v_bit
+            size += (adj[v_bit.bit_length() - 1] & around).bit_count()
+        if size <= fewest:
+            best, fewest = source, size
+    if best is None:
+        con = _contract(adj, live, forced)
+    else:
+        con = _patch(adj, best, live, forced)
+    contractions[depth] = con
+    return con
 
 
 def _sweep_feasible(
@@ -92,81 +454,53 @@ def _sweep_feasible(
     """The full test on the residual graph `live`, which holds start and
     anchor: is some walk weight in [lo, hi] achievable in its contraction?
 
+    It builds the contraction from scratch with _contract, which is also
+    where the contractions that the DFS keeps per depth and patches start
+    (see _contraction_at); the tests use it as their oracle.
+
     Maximal chains of degree-2 vertices collapse into superedges carrying
     their lengths. A simple path traverses any chain wholly or not at all,
     so path lengths in the residual graph are exactly walk weights in the
     contraction that use each odd superedge at most once and revisit no
     chain. The state sweep relaxes "revisit no chain" for even superedges
     only, which can only overestimate what is achievable, keeping the prune
-    sound. Only the first MAX_TRACKED_ODD odd superedges, in the order
-    listed below, are tracked; the others flip parity but are reusable.
+    sound. Only the first MAX_TRACKED_ODD odd superedges in (lower end,
+    first neighbour) order are tracked; the others flip parity but are
+    reusable.
 
-    The sweep computes the shortest distance d of every state (branch
-    vertex, subset of tracked superedges used, d mod modulus) up to hi and
-    accepts when a move from a state at its shortest distance reaches the
-    anchor at some d >= 2 that has an admissible length r >= d with
-    r = d (mod modulus). That holds even where the anchor state was reached
-    before: the direct start-anchor edge reaches it at d = 1, which is no
-    return path, so it must not hide the longer ones. The distances are
-    found level by level (Dial's algorithm), with the vertices of a level
-    held as one bitmask per subset.
+    The verdict so depends on the contraction through three facts only:
+    the superedges with their weights, which odd superedges are tracked,
+    and the gcd g of the even weights, which sets the residue modulus 2g
+    (2 when there is no even superedge or 2g > MAX_RESIDUE_MOD).
     """
-    start_bit = 1 << start
-    branch = start_bit | (1 << anchor)
-    # scanning the binary digits beats peeling low bits off a wide mask
-    for v, digit in enumerate(bin(live)[:1:-1]):
-        if digit == "1" and (adj[v] & live).bit_count() != 2:
-            branch |= 1 << v
-    # Superedges are listed from their lower end u, in order of u and then
-    # of the neighbour of u they start with. A chain is walked once, from
-    # its lower end, and its last interior vertex is marked so that the
-    # other end skips it. moves[v] maps weight << MAX_TRACKED_ODD | bit,
-    # where bit is the superedge's subset bit (0 if untracked or even), to
-    # the mask of the superedges' other ends.
-    moves: dict[int, dict[int, int]] = {}
-    n_tracked = 0
-    g = 0
-    walked = 0
-    rest = branch
-    while rest:
-        u_bit = rest & -rest
-        rest ^= u_bit
-        u = u_bit.bit_length() - 1
-        moves_u = moves.setdefault(u, {})
-        nbrs = adj[u] & live & ~walked
-        while nbrs:
-            w_bit = nbrs & -nbrs
-            nbrs ^= w_bit
-            prev_bit, cur_bit, weight = u_bit, w_bit, 1
-            if w_bit & branch:
-                if w_bit < u_bit:
-                    continue
-            else:
-                while not cur_bit & branch:
-                    nxt = adj[cur_bit.bit_length() - 1] & live & ~prev_bit
-                    prev_bit, cur_bit = cur_bit, nxt & -nxt
-                    weight += 1
-                if cur_bit == u_bit:
-                    nbrs &= ~prev_bit  # a chain from u back to u: no superedge
-                    continue
-                walked |= prev_bit
-            bit = 0
-            if not weight & 1:
-                g = gcd(g, weight)
-            elif n_tracked < MAX_TRACKED_ODD:
-                bit = 1 << n_tracked
-                n_tracked += 1
-            key = weight << MAX_TRACKED_ODD | bit
-            moves_u[key] = moves_u.get(key, 0) | cur_bit
-            moves_v = moves.setdefault(cur_bit.bit_length() - 1, {})
-            moves_v[key] = moves_v.get(key, 0) | u_bit
+    return _sweep(
+        _contract(adj, live, (1 << start) | (1 << anchor)), start, anchor, lo, hi
+    )
+
+
+def _sweep(con: _Contraction, start: int, anchor: int, lo: int, hi: int) -> bool:
+    """The state sweep of _sweep_feasible over the contraction con.
+
+    It computes the shortest distance d of every state (branch vertex,
+    subset of tracked superedges used, d mod modulus) up to hi and accepts
+    when a move from a state at its shortest distance reaches the anchor
+    at some d >= 2 that has an admissible length r >= d with
+    r = d (mod modulus). That holds even where the anchor state was
+    reached before: the direct start-anchor edge reaches it at d = 1,
+    which is no return path, so it must not hide the longer ones. The
+    distances are found level by level (Dial's algorithm), with the
+    vertices of a level held as one bitmask per subset.
+    """
+    moves = con.moves
+    if start not in moves:
+        return False
+    g = gcd(*con.evens)
     modulus = 2 * g if 0 < 2 * g <= MAX_RESIDUE_MOD else 2
-    bit_mask = (1 << MAX_TRACKED_ODD) - 1
     anchor_bit = 1 << anchor
     # levels[d][subset]: vertices reached at distance d with that subset;
     # settled[subset, residue]: vertices whose distance is already final
     levels: list[dict[int, int]] = [{} for _ in range(hi + 1)]
-    levels[0][0] = start_bit
+    levels[0][0] = 1 << start
     settled: dict[tuple[int, int], int] = {}
     for d in range(hi + 1):
         residue = d % modulus
@@ -187,7 +521,7 @@ def _sweep_feasible(
                 mask ^= v_bit
                 for key, ends in moves[v_bit.bit_length() - 1].items():
                     nd = d + (key >> MAX_TRACKED_ODD)
-                    bit = key & bit_mask
+                    bit = key & TRACKED_BITS
                     if nd > hi or subset & bit:
                         continue
                     level = levels[nd]
@@ -223,6 +557,8 @@ def find_holes(
     nodes = counter[0] = 0
     if max_len is not None and max_len < min_len:
         return
+    # the last contraction the prune built at each DFS depth
+    contractions: list[_Contraction | None] = [None] * (n + 1)
     for anchor in range(n):
         anchor_bit = 1 << anchor
         gt_mask = ((1 << n) - 1) & ~((anchor_bit << 1) - 1)
@@ -278,7 +614,9 @@ def find_holes(
                 edges_used = new_depth - 1
                 lo = max(min_len - edges_used, 2)
                 hi = max_len - edges_used
-                if not _completion_feasible(adj, allowed, u, anchor, lo, hi):
+                if not _completion_feasible(
+                    adj, allowed, u, anchor, lo, hi, contractions, depth
+                ):
                     ext_new = 0
             if clos_new or ext_new:
                 path.append(u)

@@ -145,7 +145,7 @@ def fastcore(tmp_path_factory):
     """The compiled kernel, built from _fastcore.c into a temporary
     directory and loaded from there; skips without a C compiler or
     Python.h. An installed build is never used, so the tests always run
-    the C source in the tree."""
+    the C source in the tree, and any compiler warning fails the build."""
     compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
     include = sysconfig.get_paths()["include"]
     if shutil.which(compiler) is None or not Path(include, "Python.h").exists():
@@ -154,7 +154,7 @@ def fastcore(tmp_path_factory):
         "_fastcore" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     build = subprocess.run(
-        [compiler, "-O2", "-shared", "-fPIC", f"-I{include}",
+        [compiler, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", f"-I{include}",
          str(FASTCORE_C), "-o", str(target)],
         capture_output=True,
         text=True,

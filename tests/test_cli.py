@@ -350,12 +350,18 @@ MALFORMED = [
     pytest.param("verify hole_mod_coverage {empty} --param require=x", None, id="param-require-empty"),
     pytest.param("verify kalai_balance {empty} --param k=-1", None, id="param-k-range-empty"),
     pytest.param("verify hole_mod_coverage {empty} --param ell=0", None, id="param-ell-range-empty"),
+    pytest.param("verify hole_mod_coverage {ok} --param d=-1", None, id="param-d-range"),
+    pytest.param("verify hole_mod_coverage {empty} --param d=-1", None, id="param-d-range-empty"),
     pytest.param("shower {ok} --root 9 --depth 1 --drain 1", None, id="shower-root"),
     pytest.param("shower {ok} --root 0 --depth 1 --drain -1", None, id="shower-drain"),
     pytest.param("shower {ok} --entry 1 --root 0 --depth 1 --drain 1", None, id="shower-entry"),
     pytest.param(SHOWER + " --jets 3 --ell 1", None, id="shower-ell"),
+    pytest.param(
+        "shower {ok} --root 0 --depth 2 --drain 2 --jets 3 --ell 2 --d -2", None, id="shower-d"
+    ),
     pytest.param("holes {ok} --ell 0", None, id="holes-ell"),
     pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),
+    pytest.param("holes {ok} --ell 3 --d -1", None, id="holes-d"),
     pytest.param("balance {ok} --k -1", None, id="balance-k"),
     pytest.param("balance {ok} --k 1 --subgraph-budget 0", None, id="balance-subgraph-budget-0"),
     pytest.param("balance {ok} --k 1 --subgraph-budget -1", None, id="balance-subgraph-budget-neg"),
@@ -364,6 +370,7 @@ MALFORMED = [
     # fails the same way
     pytest.param("holes {empty} --ell 0", None, id="holes-ell-empty"),
     pytest.param("holes {empty} --min-len 3", None, id="holes-min-len-empty"),
+    pytest.param("holes {empty} --ell 3 --d -1", None, id="holes-d-empty"),
     pytest.param("balance {empty} --k -1", None, id="balance-k-empty"),
     pytest.param(
         "balance {empty} --k 1 --subgraph-budget 0",

@@ -109,6 +109,12 @@ def test_d_peripheral():
     for d in range(4):
         if is_d_peripheral(g, hole, d + 1)[0]:
             assert is_d_peripheral(g, hole, d)[0]
+    # a negative d is refused, also where the exterior is empty
+    c5 = Graph(5, cycle_graph(5))
+    with pytest.raises(InputError):
+        is_d_peripheral(c5, Hole((0, 1, 2, 3, 4)), -1)
+    with pytest.raises(InputError):
+        residue_coverage(c5, 3, d=-1)
 
 
 def test_d_peripheral_matches_chromatic_number_of_exterior():

@@ -154,8 +154,8 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
     calls = []
     feasible = _pycore._completion_feasible
 
-    def record(adj, allowed, start, anchor, lo, hi):
-        verdict = feasible(adj, allowed, start, anchor, lo, hi)
+    def record(adj, allowed, start, anchor, lo, hi, *kept):
+        verdict = feasible(adj, allowed, start, anchor, lo, hi, *kept)
         calls.append((adj, allowed, start, anchor, lo, hi, verdict))
         return verdict
 
@@ -171,6 +171,89 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
     for adj, allowed, start, anchor, lo, hi, verdict in calls:
         live = allowed | (1 << start) | (1 << anchor)
         assert _pycore._sweep_feasible(adj, live, start, anchor, lo, hi) == verdict
+
+
+def contraction_facts(con):
+    """What the sweep's verdict reads from a contraction: the superedges
+    with their weights and multiplicities, which odd ones are tracked, and
+    the even weights that set the modulus. Subset bits are labels, so each
+    tracked bit is renamed after its superedge's place among the odd ones."""
+    tracked = con.odd[: _pycore.MAX_TRACKED_ODD]
+    assert sorted(con.odd) == con.odd
+    assert set(con.bits) == set(tracked)
+    assert len(set(con.bits.values())) == len(tracked)
+    rank = {con.bits[edge]: 1 << i for i, edge in enumerate(tracked)}
+    low = _pycore.TRACKED_BITS
+    moves = {
+        v: {key & ~low | rank.get(key & low, 0): ends for key, ends in moves_v.items()}
+        for v, moves_v in con.moves.items()
+        if moves_v
+    }
+    return con.branch, moves, con.extra, con.odd, con.evens
+
+
+def test_patched_contraction_equals_fresh_one(monkeypatch):
+    """Every contraction a sweep reads, patched along the DFS, is the one
+    built from scratch on the same residual graph."""
+    feasible, sweep, patch = (
+        _pycore._completion_feasible, _pycore._sweep, _pycore._patch
+    )
+    call = {}
+    checked = patched = 0
+
+    def record_call(adj, allowed, start, anchor, lo, hi, *kept):
+        call.update(adj=adj, live=allowed | (1 << start) | (1 << anchor))
+        return feasible(adj, allowed, start, anchor, lo, hi, *kept)
+
+    def check_sweep(con, start, anchor, lo, hi):
+        nonlocal checked
+        assert con.live == call["live"]
+        assert con.forced == (1 << start) | (1 << anchor)
+        fresh = _pycore._contract(call["adj"], con.live, con.forced)
+        assert contraction_facts(con) == contraction_facts(fresh)
+        verdict = sweep(con, start, anchor, lo, hi)
+        assert sweep(fresh, start, anchor, lo, hi) == verdict
+        checked += 1
+        return verdict
+
+    def count_patch(*args):
+        nonlocal patched
+        patched += 1
+        return patch(*args)
+
+    monkeypatch.setattr(_pycore, "_completion_feasible", record_call)
+    monkeypatch.setattr(_pycore, "_sweep", check_sweep)
+    monkeypatch.setattr(_pycore, "_patch", count_patch)
+    for g in prune_graphs():
+        for lo, hi in PRUNE_WINDOWS:
+            holes_of(_pycore, g, lo, hi)
+    for ell in (24, 25, 26):
+        for paths in ((2, 2, 4), (4, 4, 2)):
+            gadget = findhole_gadget(ell, *paths)
+            assert len(first_hit_count(_pycore, gadget, ell, ell)[0]) == ell
+    assert checked > 1000 and patched > checked // 2
+
+
+def test_patch_between_any_two_residual_graphs():
+    """_patch is exact between unrelated residual graphs and forced sets
+    too, including chains that close into cycles and parallel chains."""
+    rng = random.Random(8)
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(4, 40), rng.uniform(0.03, 0.3))
+        adj = g.adjacency_masks()
+        cons = []
+        for _ in range(4):
+            live = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            forced = live & rng.getrandbits(g.n) & rng.getrandbits(g.n)
+            cons.append(_pycore._contract(adj, live, forced))
+        for source in cons:
+            for target in cons:
+                con = _pycore._patch(adj, source, target.live, target.forced)
+                assert contraction_facts(con) == contraction_facts(target)
+        # patching leaves its sources as they were
+        for con in cons:
+            fresh = _pycore._contract(adj, con.live, con.forced)
+            assert contraction_facts(con) == contraction_facts(fresh)
 
 
 def test_window_keeps_hole_behind_untracked_anchor_edge(kernel):
@@ -220,11 +303,12 @@ def test_node_counts_identical_across_kernels(fastcore):
     }
     assert counts[_pycore] == counts[fastcore]
     assert sum(counts[_pycore]) > 0
-    # a first hit on a findhole gadget, as the windowed first-hit jobs make
-    gadget = findhole_gadget(24, 2, 2, 4)
-    pure = first_hit_count(_pycore, gadget, 24, 24)
-    assert first_hit_count(fastcore, gadget, 24, 24) == pure
-    assert len(pure[0]) == 24 and pure[1] > 0
+    # first hits on findhole gadgets, as the windowed first-hit jobs make
+    for ell in range(24, 33):
+        gadget = findhole_gadget(ell, 2, 2, 4)
+        pure = first_hit_count(_pycore, gadget, ell, ell)
+        assert first_hit_count(fastcore, gadget, ell, ell) == pure
+        assert len(pure[0]) == ell and pure[1] > 0
 
 
 def test_enumerate_holes_charges_kernel_nodes(kernel, monkeypatch):
