@@ -100,7 +100,7 @@ def _cmd_holes(args) -> int:
             }
         else:
             holes = list(enumerate_holes(g, args.min_len, args.max_len, budget))
-            row["holes"] = [list(h.vertices) for h in holes]
+            row["holes"] = [h.vertices for h in holes]
             row["count"] = len(holes)
 
     return _per_entry(args, fill)

@@ -10,9 +10,9 @@ the line number.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator
 
 from .errors import InputError
@@ -65,43 +65,48 @@ def encode_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
+# each graph6 character as the six binary digits it stands for
+_SIX_BITS = {63 + d: f"{d:06b}" for d in range(64)}
+
+
 def decode_graph6(line: str) -> Graph:
     """Decode one graph6 line (no header)."""
     if not line:
         raise InputError("empty graph6 line")
-    data = [ord(ch) - 63 for ch in line]
-    if any(d < 0 or d > 63 for d in data):
+    if min(line) < "?" or max(line) > "~":
         raise InputError("invalid graph6 character")
-    pos = 0
-    if data[0] != 63:
-        n = data[0]
+    if line[0] != "~":
+        n = ord(line[0]) - 63
         pos = 1
-    elif len(data) >= 2 and data[1] != 63:
-        if len(data) < 4:
+    elif len(line) >= 2 and line[1] != "~":
+        if len(line) < 4:
             raise InputError("truncated graph6 size field")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = int(line[1:4].translate(_SIX_BITS), 2)
         pos = 4
     else:
-        if len(data) < 8:
+        if len(line) < 8:
             raise InputError("truncated graph6 size field")
-        n = 0
-        for d in data[2:8]:
-            n = (n << 6) | d
+        n = int(line[2:8].translate(_SIX_BITS), 2)
         pos = 8
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(data) - pos != need_bytes:
+    if len(line) - pos != need_bytes:
         raise InputError(
-            f"graph6 body length {len(data) - pos} does not match n={n}"
+            f"graph6 body length {len(line) - pos} does not match n={n}"
         )
-    bit_iter = (
-        (data[pos + i // 6] >> (5 - i % 6)) & 1 for i in range(need_bits)
-    )
+    # the body as one string of binary digits, read at its ones: digit
+    # v(v-1)/2 + u is the edge uv, u < v; the padding is ignored
+    body = line[pos:].translate(_SIX_BITS)
     edges = []
-    for v in range(1, n):
-        for u in range(v):
-            if next(bit_iter):
-                edges.append((u, v))
+    v = 1
+    column = 0  # the digit of the edge 0v
+    i = body.find("1")
+    while 0 <= i < need_bits:
+        while i >= column + v:
+            column += v
+            v += 1
+        edges.append((i - column, v))
+        i = body.find("1", i + 1)
     return Graph(n, edges)
 
 
@@ -205,13 +210,110 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
 
 # ---------------------------------------------------------------------------
 # JSON output
+#
+# The bytes are those of json.dumps(payload, indent=2). With an indent the
+# stdlib leaves its C encoder for a Python one that handles every int
+# apart; this one joins a list of plain ints, the bulk of a hole report,
+# in one step, and encodes every other value by the stdlib's rules.
+
+_INF = float("inf")
+_PLAIN_INT = {int}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as the stdlib coerces it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
+def _ints_text(value: Any, newline: str) -> str | None:
+    """value as indented JSON when it is a non-empty list or tuple of plain
+    ints (not bools, not int subclasses), else None."""
+    if type(value) not in (list, tuple) or not value or set(map(type, value)) != _PLAIN_INT:
+        return None
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+
+
+def _json_text(value: Any, newline: str, open_ids: set[int]) -> str:
+    """value as indented JSON, its closing bracket preceded by `newline`
+    (a line break and the indent of the line it opens on); `open_ids`
+    holds the containers it sits in, to refuse a circular payload as the
+    stdlib does."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _ints_text(value, newline)
+        if text is not None:
+            return text
+        inner = newline + "  "
+        _enter(value, open_ids)
+        items = [
+            _ints_text(item, inner) or _json_text(item, inner, open_ids)
+            for item in value
+        ]
+        open_ids.discard(id(value))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        _enter(value, open_ids)
+        items = [
+            encode_basestring_ascii(_key_text(key)) + ": " + _json_text(item, inner, open_ids)
+            for key, item in value.items()
+        ]
+        open_ids.discard(id(value))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _enter(container: Any, open_ids: set[int]) -> None:
+    if id(container) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(container))
 
 
 def write_json(payload: Any, path: str | None = None) -> None:
     """Write payload as JSON indented by two, plus a newline, to path or,
     without one, to stdout; every report goes through here, so the same
     payload gives the same bytes on either."""
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload, "\n", set()) + "\n"
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

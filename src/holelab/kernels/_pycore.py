@@ -5,9 +5,13 @@ reflection: each cycle is reported anchored at its minimum vertex, with the
 smaller of the anchor's two cycle-neighbors listed second.
 
 The search is a DFS over induced paths rooted at the anchor, extending only
-through vertices greater than the anchor. When an upper length bound is
-given, each extension is pruned with a completion-feasibility test on the
-residual graph, in two layers:
+through vertices greater than the anchor. Each DFS node (one extension of
+the path, the unit a budget counts) is a few operations on vertex
+bitmasks: the frame of the path's end is held in local variables, saved on
+a stack only when the path grows, and a node hands back the holes it
+closes as soon as it is made (see find_holes). When an upper length bound
+is given, each extension is pruned with a completion-feasibility test on
+the residual graph, in two layers:
 
 1. A bitset BFS from the path's end, at most `hi` levels deep. If the
    anchor is out of reach, no return path is short enough; if it is first
@@ -42,6 +46,7 @@ and its oracle in the tests.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import gcd
@@ -540,13 +545,27 @@ def find_holes(
 ) -> Iterator[tuple[int, ...]]:
     """Yield each hole of the graph once, canonically oriented.
 
-    adj: per-vertex neighbor bitmasks. budget: maximum number of DFS
-    extensions before raising BudgetExceededError (partial results already
-    yielded remain valid). counter: a one-item list; whenever the kernel
-    hands control back (a hole, the end of the stream, the budget error)
-    counter[0] holds the number of DFS extensions made so far, so a caller
-    can charge them to its own budget. The compiled kernel takes the same
-    arguments and counts the same extensions.
+    adj: per-vertex neighbor bitmasks of a loopless graph. budget: maximum
+    number of DFS extensions before raising BudgetExceededError (partial
+    results already yielded remain valid). counter: a one-item list;
+    whenever the kernel hands control back (a hole, the end of the stream,
+    the budget error) counter[0] holds the number of DFS extensions made so
+    far, so a caller can charge them to its own budget. The compiled kernel
+    takes the same arguments and counts the same extensions.
+
+    The frame of the path's end lives in locals: `ext`, the children still
+    to try; `allowed`, the vertices greater than the anchor that are
+    neither on the path nor adjacent to a path vertex other than the
+    anchor, which are the candidates for a child's own children; and
+    `close` and `extend`, the parts of `allowed` through which a child
+    closes a hole or grows the path, each empty where the length window
+    rules that out at the child's depth. A node costs a few mask
+    operations. A frame is pushed on the stack as one tuple only when the
+    DFS descends, and popped when its children are done. A node hands back
+    the holes it closes as soon as it is made, in increasing order of the
+    closing vertex, and before its own children are tried: the order and
+    the counter values of the loop that kept four stacks and handed back
+    one hole per pass.
     """
     if counter is None:
         counter = [0]
@@ -557,70 +576,70 @@ def find_holes(
     nodes = counter[0] = 0
     if max_len is not None and max_len < min_len:
         return
+    windowed = max_len is not None
+    limit = budget if budget is not None else sys.maxsize
+    # a frame at depth d (d vertices on the path) makes children that close
+    # holes of length d + 2, and children that can be extended when a hole
+    # of length d + 3 still fits; so no frame is deeper than max_len - 2
+    close_lo = min_len - 2
+    extend_hi = max_len - 3 if windowed else n
     # the last contraction the prune built at each DFS depth
     contractions: list[_Contraction | None] = [None] * (n + 1)
     for anchor in range(n):
         anchor_bit = 1 << anchor
-        gt_mask = ((1 << n) - 1) & ~((anchor_bit << 1) - 1)
+        allowed = ((1 << n) - 1) & ~((anchor_bit << 1) - 1)
         adj_anchor = adj[anchor]
-        root_cands = adj_anchor & gt_mask
+        far = allowed & ~adj_anchor
+        ext = allowed & adj_anchor
+        close = 0  # a child of the anchor would close a triangle
+        extend = far if extend_hi >= 1 else 0
         path = [anchor]
-        ext_stack = [root_cands]
-        clos_stack = [0]
-        banned_stack = [anchor_bit]
-        while path:
-            depth = len(path)
-            clos = clos_stack[-1]
-            if clos:
-                u = clos & -clos
-                clos_stack[-1] = clos ^ u
-                counter[0] = nodes
-                yield tuple(path) + (u.bit_length() - 1,)
-                continue
-            ext = ext_stack[-1]
+        depth = 1
+        stack = []
+        while True:
             if not ext:
+                if not stack:
+                    break
+                ext, allowed, close, extend = stack.pop()
                 path.pop()
-                ext_stack.pop()
-                clos_stack.pop()
-                banned_stack.pop()
+                depth -= 1
                 continue
             u_bit = ext & -ext
-            ext_stack[-1] = ext ^ u_bit
+            ext ^= u_bit
             u = u_bit.bit_length() - 1
             nodes += 1
-            if budget is not None and nodes > budget:
+            if nodes > limit:
                 counter[0] = nodes
                 raise BudgetExceededError(
                     f"hole search exceeded budget of {budget} nodes"
                 )
-            new_depth = depth + 1
-            if depth >= 2:
-                banned = banned_stack[-1] | adj[path[-1]] | u_bit
-            else:
-                banned = banned_stack[-1] | u_bit
-            cand = adj[u] & gt_mask & ~banned
-            clos_new = 0
-            if new_depth + 1 >= min_len and new_depth + 1 >= 4:
-                if max_len is None or new_depth + 1 <= max_len:
-                    clos_new = cand & adj_anchor
-            if clos_new and depth >= 2:
-                # kill reflections: closing vertex must exceed the second one
-                clos_new &= ~((1 << (path[1] + 1)) - 1)
-            ext_new = cand & ~adj_anchor
-            if max_len is not None and new_depth + 2 > max_len:
-                ext_new = 0
-            if ext_new and max_len is not None:
-                allowed = gt_mask & ~banned
-                edges_used = new_depth - 1
-                lo = max(min_len - edges_used, 2)
-                hi = max_len - edges_used
+            adj_u = adj[u]
+            ext_new = adj_u & extend
+            if ext_new and windowed:
+                # the return path has `depth` fewer edges than the hole
                 if not _completion_feasible(
-                    adj, allowed, u, anchor, lo, hi, contractions, depth
+                    adj, allowed & ~u_bit, u, anchor, max(min_len - depth, 2),
+                    max_len - depth, contractions, depth,
                 ):
                     ext_new = 0
-            if clos_new or ext_new:
+            clos_new = adj_u & close
+            if clos_new:
+                head = (*path, u)
+                while clos_new:
+                    c_bit = clos_new & -clos_new
+                    clos_new ^= c_bit
+                    counter[0] = nodes
+                    yield (*head, c_bit.bit_length() - 1)
+            if ext_new:
+                stack.append((ext, allowed, close, extend))
+                if depth == 1:
+                    # kill reflections: a closing vertex must exceed the
+                    # anchor's first neighbour on the path
+                    closing = adj_anchor & ~((u_bit << 1) - 1)
                 path.append(u)
-                ext_stack.append(ext_new)
-                clos_stack.append(clos_new)
-                banned_stack.append(banned)
+                depth += 1
+                ext = ext_new
+                allowed &= ~(u_bit | adj_u)
+                close = allowed & closing if depth >= close_lo else 0
+                extend = allowed & far if depth <= extend_hi else 0
     counter[0] = nodes

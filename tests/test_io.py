@@ -1,10 +1,18 @@
+import contextlib
+import enum
+import io
+import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import holelab.cli
 from holelab.errors import InputError
 from holelab.graph import Graph
-from holelab.io import decode_graph6, encode_graph6, parse_corpus
+from holelab.io import decode_graph6, encode_graph6, parse_corpus, write_json
 
 from conftest import (
     CORPUS_LE7,
@@ -146,3 +154,148 @@ def test_bundled_corpus_integrity():
     # round-trips exactly
     for e in entries[:100]:
         assert decode_graph6(encode_graph6(e.graph)) == e.graph
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: the bytes of json.dumps(payload, indent=2), the oracle
+
+
+def written(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_json(payload)
+    return out.getvalue()
+
+
+def stdlib_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class Count(int):
+    """An int subclass whose repr is not its digits."""
+
+    def __repr__(self):
+        return "Count()"
+
+
+# any code point: control characters, non-ASCII and lone surrogates
+TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.characters(categories=["Cs"])))
+INTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.sampled_from(list(Level)),
+    st.integers(-5, 5).map(Count),
+)
+LEAVES = st.one_of(
+    st.none(),
+    INTS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+    TEXT,
+)
+KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(list(Level)))
+# lists of plain ints, as hole reports hold, and of ints of any kind
+PLAIN_INTS = st.lists(st.integers(), min_size=1, max_size=8)
+ANY_INTS = st.lists(INTS, max_size=8)
+PAYLOADS = st.recursive(
+    st.one_of(
+        LEAVES,
+        PLAIN_INTS,
+        PLAIN_INTS.map(tuple),
+        ANY_INTS,
+        st.lists(st.one_of(PLAIN_INTS.map(tuple), ANY_INTS), max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(KEYS, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_write_json_gives_the_bytes_of_json_dumps(payload):
+    assert written(payload) == stdlib_text(payload)
+
+
+def test_write_json_on_edge_values():
+    payloads = [
+        [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [(), ()],
+        [1, True, 2], [True, False], [Level.HIGH, 3], [Count(2), 1], [[1, 2], [True]],
+        [10**100, -(10**100), 0], [-0.0, 0.0, math.nan, math.inf, -math.inf],
+        {1: "a", 2.5: "b", True: "c", None: "d", math.nan: "e", Level.LOW: "f", -math.inf: "g"},
+        "\ud800 \udfff \u00e9 \x00 \x1f \x7f \u2028 \U0001f600 \"\\/",
+        -0.0, math.nan, 3, True, None, Level.HIGH,
+    ]
+    for payload in payloads:
+        assert written(payload) == stdlib_text(payload), payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [object(), [1, {2}], {"a": [1, b"x"]}, {(1, 2): 3}, {"a": {frozenset(): 1}}, [1, 2.5, 1j]],
+    ids=["object", "set", "bytes", "tuple-key", "frozenset-key", "complex"],
+)
+def test_write_json_refuses_what_json_dumps_refuses(payload, tmp_path):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(payload, indent=2)
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError) as ours:
+        write_json(payload, str(path))
+    assert str(ours.value) == str(stdlib.value)
+    assert not path.exists()  # nothing is written before the text is whole
+
+
+def test_write_json_refuses_a_circular_payload():
+    loop = [1, 2]
+    loop.append([loop])
+    table = {"a": 1}
+    table["b"] = [table]
+    for payload in (loop, table):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            write_json(payload)
+    shared = [1, 2]
+    assert written([shared, shared, {"x": shared}]) == stdlib_text([shared, shared, {"x": shared}])
+
+
+CLI_REPORTS = [
+    ["holes", "{c}"],
+    ["holes", "{c}", "--min-len", "5", "--max-len", "6"],
+    ["holes", "{c}", "--ell", "3", "--d", "0"],
+    ["invariants", "{c}", "--rho", "1", "2"],
+    ["homology", "{c}"],
+    ["balance", "{c}", "--k", "1"],
+    ["shower", "{c}", "--entry", "1000", "--root", "0", "--depth", "2", "--drain", "1",
+     "--jets", "5", "--ell", "2"],
+    ["structures", "{c}", "--entry", "1252", "--witness", "{w}"],
+    *(["verify", predicate, "{c}"] for predicate in holelab.cli.PREDICATES),
+    ["verify", "clique_parity", "{c}", "--timing"],
+    ["verify", "kalai_balance", "{c}", "--timing"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_REPORTS, ids=lambda argv: "-".join(argv[:1] + argv[2:]))
+def test_cli_reports_are_the_bytes_of_json_dumps(argv, tmp_path, monkeypatch):
+    """Every report the CLI writes on the le7 corpus, --timing floats too."""
+    payloads = []
+
+    def record(payload, path=None):
+        payloads.append(payload)
+        write_json(payload, path)
+
+    monkeypatch.setattr(holelab.cli, "write_json", record)
+    witness = tmp_path / "w.json"
+    witness.write_text('{"X": [0], "families": {"0": [1, 2]}, "C": [3]}')
+    out = tmp_path / "out.json"
+    fields = {"c": str(CORPUS_LE7), "w": str(witness)}
+    holelab.cli.main(["--json-out", str(out)] + [arg.format(**fields) for arg in argv])
+    (payload,) = payloads
+    assert out.read_text(encoding="ascii") == stdlib_text(payload)

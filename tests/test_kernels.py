@@ -351,3 +351,161 @@ def test_hole_search_exhausts_a_shared_budget(kernel, monkeypatch):
     assert info.value.partial == len(before_budget) > 0
     with pytest.raises(BudgetExceededError):
         budget.tick()
+
+
+def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=None):
+    """The pure kernel's DFS loop as it was before the frame moved into
+    locals: four parallel stacks, one closing hole handed back per pass.
+    The kernel must match it hole for hole, in the counter at every yield,
+    and in where a budget stops it."""
+    if counter is None:
+        counter = [0]
+    if min_len < 4:
+        min_len = 4
+    if max_len is not None and max_len > n:
+        max_len = n
+    nodes = counter[0] = 0
+    if max_len is not None and max_len < min_len:
+        return
+    contractions = [None] * (n + 1)
+    for anchor in range(n):
+        anchor_bit = 1 << anchor
+        gt_mask = ((1 << n) - 1) & ~((anchor_bit << 1) - 1)
+        adj_anchor = adj[anchor]
+        path = [anchor]
+        ext_stack = [adj_anchor & gt_mask]
+        clos_stack = [0]
+        banned_stack = [anchor_bit]
+        while path:
+            depth = len(path)
+            clos = clos_stack[-1]
+            if clos:
+                u = clos & -clos
+                clos_stack[-1] = clos ^ u
+                counter[0] = nodes
+                yield tuple(path) + (u.bit_length() - 1,)
+                continue
+            ext = ext_stack[-1]
+            if not ext:
+                path.pop()
+                ext_stack.pop()
+                clos_stack.pop()
+                banned_stack.pop()
+                continue
+            u_bit = ext & -ext
+            ext_stack[-1] = ext ^ u_bit
+            u = u_bit.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                counter[0] = nodes
+                raise BudgetExceededError(f"hole search exceeded budget of {budget} nodes")
+            new_depth = depth + 1
+            if depth >= 2:
+                banned = banned_stack[-1] | adj[path[-1]] | u_bit
+            else:
+                banned = banned_stack[-1] | u_bit
+            cand = adj[u] & gt_mask & ~banned
+            clos_new = 0
+            if new_depth + 1 >= min_len and new_depth + 1 >= 4:
+                if max_len is None or new_depth + 1 <= max_len:
+                    clos_new = cand & adj_anchor
+            if clos_new and depth >= 2:
+                clos_new &= ~((1 << (path[1] + 1)) - 1)
+            ext_new = cand & ~adj_anchor
+            if max_len is not None and new_depth + 2 > max_len:
+                ext_new = 0
+            if ext_new and max_len is not None:
+                lo = max(min_len - (new_depth - 1), 2)
+                hi = max_len - (new_depth - 1)
+                if not _pycore._completion_feasible(
+                    adj, gt_mask & ~banned, u, anchor, lo, hi, contractions, depth
+                ):
+                    ext_new = 0
+            if clos_new or ext_new:
+                path.append(u)
+                ext_stack.append(ext_new)
+                clos_stack.append(clos_new)
+                banned_stack.append(banned)
+    counter[0] = nodes
+
+
+def trace(find_holes, g, min_len, max_len, budget=None):
+    """Each hole with counter[0] as it is handed back, then how the search
+    ended (the budget error's message, or None) and the final counter."""
+    counter = [0]
+    out = []
+    try:
+        for hole in find_holes(g.adjacency_masks(), g.n, min_len, max_len, budget, counter):
+            out.append((hole, counter[0]))
+    except BudgetExceededError as exc:
+        return out, str(exc), counter[0]
+    return out, None, counter[0]
+
+
+ALL_WINDOWS = BUDGET_WINDOWS + PRUNE_WINDOWS
+
+
+def loop_cases(corpus_le7):
+    return [
+        (g, lo, hi)
+        for g in corpus_le7 + budget_graphs() + prune_graphs()
+        for lo, hi in ALL_WINDOWS
+    ]
+
+
+def budgets_up_to(total):
+    """Every budget up to the total where that is cheap, else the first 50,
+    a few spread over the rest, and the last two."""
+    if total <= 200:
+        return range(total + 1)
+    return sorted({*range(50), *range(50, total, total // 6), total - 1, total})
+
+
+def budgeted(full, budget):
+    """The trace of a search under a node budget, read off the trace of the
+    same search without one: the holes handed back by node `budget`, then
+    the budget error at node budget + 1."""
+    holes, _, total = full
+    if budget >= total:
+        return full
+    message = f"hole search exceeded budget of {budget} nodes"
+    return [(hole, at) for hole, at in holes if at <= budget], message, budget + 1
+
+
+def test_reference_loop_stops_where_budgeted_says():
+    for g in budget_graphs():
+        for lo, hi in ALL_WINDOWS:
+            full = trace(reference_find_holes, g, lo, hi)
+            for budget in range(full[2] + 1):
+                assert trace(reference_find_holes, g, lo, hi, budget) == budgeted(full, budget)
+
+
+def test_loop_matches_reference_loop(corpus_le7):
+    """Hole for hole, in counter[0] at every yield, and under every budget
+    (a sample of them where the search is long)."""
+    stopped = 0
+    for g, lo, hi in loop_cases(corpus_le7):
+        full = trace(reference_find_holes, g, lo, hi)
+        assert trace(_pycore.find_holes, g, lo, hi) == full
+        for budget in budgets_up_to(full[2]):
+            got = trace(_pycore.find_holes, g, lo, hi, budget)
+            assert got == budgeted(full, budget)
+            stopped += got[1] is not None
+    assert stopped > 100_000
+
+
+def test_counters_identical_across_kernels(fastcore, corpus_le7):
+    """The compiled kernel hands back each hole at the same DFS node."""
+    for g, lo, hi in loop_cases(corpus_le7):
+        assert trace(fastcore.find_holes, g, lo, hi) == trace(_pycore.find_holes, g, lo, hi)
+    for g, lo, hi in loop_cases(corpus_le7)[: 6 * len(corpus_le7)]:
+        total = trace(_pycore.find_holes, g, lo, hi)[2]
+        for budget in (0, total // 2, total - 1):
+            pure = trace(_pycore.find_holes, g, lo, hi, budget)
+            assert trace(fastcore.find_holes, g, lo, hi, budget) == pure
+    # windowed searches on findhole gadgets, as far as 3,000 nodes go
+    for ell in range(24, 33):
+        gadget = findhole_gadget(ell, 2, 2, 4)
+        pure = trace(_pycore.find_holes, gadget, ell, ell, 3_000)
+        assert trace(fastcore.find_holes, gadget, ell, ell, 3_000) == pure
+        assert pure[0] and pure[1] is not None
