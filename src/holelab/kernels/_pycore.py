@@ -559,13 +559,11 @@ def find_holes(
     anchor, which are the candidates for a child's own children; and
     `close` and `extend`, the parts of `allowed` through which a child
     closes a hole or grows the path, each empty where the length window
-    rules that out at the child's depth. A node costs a few mask
-    operations. A frame is pushed on the stack as one tuple only when the
-    DFS descends, and popped when its children are done. A node hands back
-    the holes it closes as soon as it is made, in increasing order of the
-    closing vertex, and before its own children are tried: the order and
-    the counter values of the loop that kept four stacks and handed back
-    one hole per pass.
+    rules that out at the child's depth. A frame is pushed on the stack as
+    one tuple only when the DFS descends, and popped when its children are
+    done. A node hands back the holes it closes as soon as it is made, in
+    increasing order of the closing vertex, and before its own children
+    are tried.
     """
     if counter is None:
         counter = [0]

@@ -294,65 +294,6 @@ def first_hit_count(kernel, g, min_len, max_len):
     return hole, counter[0]
 
 
-def test_node_counts_identical_across_kernels(fastcore):
-    cases = [(g, lo, hi) for g in budget_graphs() for lo, hi in BUDGET_WINDOWS]
-    cases += [(g, lo, hi) for g in prune_graphs() for lo, hi in PRUNE_WINDOWS]
-    counts = {
-        kernel: [node_count(kernel, g, lo, hi) for g, lo, hi in cases]
-        for kernel in (_pycore, fastcore)
-    }
-    assert counts[_pycore] == counts[fastcore]
-    assert sum(counts[_pycore]) > 0
-    # first hits on findhole gadgets, as the windowed first-hit jobs make
-    for ell in range(24, 33):
-        gadget = findhole_gadget(ell, 2, 2, 4)
-        pure = first_hit_count(_pycore, gadget, ell, ell)
-        assert first_hit_count(fastcore, gadget, ell, ell) == pure
-        assert len(pure[0]) == ell and pure[1] > 0
-
-
-def test_enumerate_holes_charges_kernel_nodes(kernel, monkeypatch):
-    """One shared Budget is charged exactly the kernel's DFS nodes."""
-    import holelab.holes
-
-    monkeypatch.setattr(holelab.holes, "find_holes", kernel.find_holes)
-    budget = Budget(None)
-    expected = 0
-    for g in budget_graphs():
-        for lo, hi in BUDGET_WINDOWS:
-            expected += node_count(kernel, g, lo, hi)
-            list(enumerate_holes(g, lo, hi, budget))
-            assert budget.used == expected
-    # a stream closed early is charged for the nodes made so far
-    g = petersen_graph()
-    counter = [0]
-    next(kernel.find_holes(g.adjacency_masks(), g.n, counter=counter))
-    stream = enumerate_holes(g, budget=budget)
-    next(stream)
-    stream.close()
-    assert budget.used == expected + counter[0] > expected
-
-
-def test_hole_search_exhausts_a_shared_budget(kernel, monkeypatch):
-    import holelab.holes
-
-    monkeypatch.setattr(holelab.holes, "find_holes", kernel.find_holes)
-    g = petersen_graph()
-    before_budget = []
-    with pytest.raises(BudgetExceededError):
-        for hole in kernel.find_holes(g.adjacency_masks(), g.n, 4, None, 30):
-            before_budget.append(hole)
-    budget = Budget(50)
-    budget.tick(20)
-    with pytest.raises(BudgetExceededError) as info:
-        list(enumerate_holes(g, budget=budget))
-    # the kernel was given the 30 remaining nodes and made one more
-    assert budget.used == 51
-    assert info.value.partial == len(before_budget) > 0
-    with pytest.raises(BudgetExceededError):
-        budget.tick()
-
-
 def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=None):
     """The pure kernel's DFS loop as it was before the frame moved into
     locals: four parallel stacks, one closing hole handed back per pass.
@@ -494,18 +435,59 @@ def test_loop_matches_reference_loop(corpus_le7):
     assert stopped > 100_000
 
 
-def test_counters_identical_across_kernels(fastcore, corpus_le7):
-    """The compiled kernel hands back each hole at the same DFS node."""
+def test_node_counts_identical_across_kernels(fastcore, corpus_le7):
+    """The compiled kernel hands back each hole at the same DFS node as the
+    pure one, and a budget stops it at the same node."""
     for g, lo, hi in loop_cases(corpus_le7):
-        assert trace(fastcore.find_holes, g, lo, hi) == trace(_pycore.find_holes, g, lo, hi)
-    for g, lo, hi in loop_cases(corpus_le7)[: 6 * len(corpus_le7)]:
-        total = trace(_pycore.find_holes, g, lo, hi)[2]
-        for budget in (0, total // 2, total - 1):
-            pure = trace(_pycore.find_holes, g, lo, hi, budget)
-            assert trace(fastcore.find_holes, g, lo, hi, budget) == pure
-    # windowed searches on findhole gadgets, as far as 3,000 nodes go
+        pure = trace(_pycore.find_holes, g, lo, hi)
+        assert trace(fastcore.find_holes, g, lo, hi) == pure
+        for budget in budgets_up_to(pure[2]):
+            assert trace(fastcore.find_holes, g, lo, hi, budget) == budgeted(pure, budget)
+    # first hits on findhole gadgets, as the windowed first-hit jobs make
     for ell in range(24, 33):
         gadget = findhole_gadget(ell, 2, 2, 4)
-        pure = trace(_pycore.find_holes, gadget, ell, ell, 3_000)
-        assert trace(fastcore.find_holes, gadget, ell, ell, 3_000) == pure
-        assert pure[0] and pure[1] is not None
+        pure = first_hit_count(_pycore, gadget, ell, ell)
+        assert first_hit_count(fastcore, gadget, ell, ell) == pure
+        assert len(pure[0]) == ell and pure[1] > 0
+
+
+def test_enumerate_holes_charges_kernel_nodes(kernel, monkeypatch):
+    """One shared Budget is charged exactly the kernel's DFS nodes."""
+    import holelab.holes
+
+    monkeypatch.setattr(holelab.holes, "find_holes", kernel.find_holes)
+    budget = Budget(None)
+    expected = 0
+    for g in budget_graphs():
+        for lo, hi in BUDGET_WINDOWS:
+            expected += node_count(kernel, g, lo, hi)
+            list(enumerate_holes(g, lo, hi, budget))
+            assert budget.used == expected
+    # a stream closed early is charged for the nodes made so far
+    g = petersen_graph()
+    counter = [0]
+    next(kernel.find_holes(g.adjacency_masks(), g.n, counter=counter))
+    stream = enumerate_holes(g, budget=budget)
+    next(stream)
+    stream.close()
+    assert budget.used == expected + counter[0] > expected
+
+
+def test_hole_search_exhausts_a_shared_budget(kernel, monkeypatch):
+    import holelab.holes
+
+    monkeypatch.setattr(holelab.holes, "find_holes", kernel.find_holes)
+    g = petersen_graph()
+    before_budget = []
+    with pytest.raises(BudgetExceededError):
+        for hole in kernel.find_holes(g.adjacency_masks(), g.n, 4, None, 30):
+            before_budget.append(hole)
+    budget = Budget(50)
+    budget.tick(20)
+    with pytest.raises(BudgetExceededError) as info:
+        list(enumerate_holes(g, budget=budget))
+    # the kernel was given the 30 remaining nodes and made one more
+    assert budget.used == 51
+    assert info.value.partial == len(before_budget) > 0
+    with pytest.raises(BudgetExceededError):
+        budget.tick()
