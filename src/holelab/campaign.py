@@ -16,7 +16,7 @@ from typing import Any, Callable, Sequence
 from .budget import Budget
 from .errors import BudgetExceededError, HolelabError, InputError
 from .graph import Graph
-from .holes import consecutive_hole_pairs, residue_coverage
+from .holes import consecutive_hole_pairs, enumerate_holes, residue_coverage
 from .homology import independence_parity, is_k_balanced
 from .invariants import clique_number
 from .io import CorpusEntry, write_json
@@ -66,8 +66,6 @@ def _has_ternary_cycle(g: Graph, budget: Budget) -> bool:
         common = g.adjacency_mask(a) & g.adjacency_mask(b)
         if common:
             return True
-    from .holes import enumerate_holes
-
     for hole in enumerate_holes(g, budget=budget):
         if hole.length % 3 == 0:
             return True
@@ -82,28 +80,18 @@ def _as_int(key: str, value: Any) -> int:
 
 
 def _read_params(predicate: str, params: dict) -> dict:
-    """The values the predicate's check uses, read once per campaign so
-    that a bad value is an input error whatever the corpus holds."""
+    """The values the predicate's check uses, as ints, read once per
+    campaign; the check itself rejects a value out of range."""
     if predicate == "kalai_balance":
-        k = _as_int("k", params.get("k", 1))
-        if k < 0:
-            raise InputError("balance threshold must be nonnegative")
-        return {"k": k}
+        return {"k": _as_int("k", params.get("k", 1))}
     if predicate == "hole_mod_coverage":
-        ell = _as_int("ell", params.get("ell", 3))
-        if ell < 1:
-            raise InputError("modulus must be at least 1")
         d = params.get("d")
-        if d is not None:
-            d = _as_int("d", d)
-            if d < 0:
-                raise InputError("d must be nonnegative")
         required = params.get("require", ())
         if isinstance(required, (int, str)):  # one residue, or "a,b,..." text
             required = str(required).split(",")
         return {
-            "ell": ell,
-            "d": d,
+            "ell": _as_int("ell", params.get("ell", 3)),
+            "d": None if d is None else _as_int("d", d),
             "require": [_as_int("require", r) for r in required],
         }
     if predicate == "consecutive_holes":
@@ -218,13 +206,16 @@ def run_campaign(
     budget_nodes; per-entry budget errors are recorded on the verdict, never
     fatal. The seed goes to every predicate check (it seeds the sampled
     mode of kalai_balance's balance check) and is echoed in the report.
-    Verdicts are ordered by entry id.
+    Verdicts are ordered by entry id. The check runs once on the null
+    graph, with no node limit, before any entry: a parameter it rejects is
+    an input error whatever the corpus holds.
     """
     if predicate not in _CHECKS:
         raise HolelabError(f"unknown campaign predicate: {predicate}")
     params = dict(params or {})
     check = _CHECKS[predicate]
     opts = _read_params(predicate, params)
+    check(Graph(0), opts, seed, Budget(None))
     start = time.monotonic()
 
     def evaluate(entry: CorpusEntry) -> EntryVerdict:

@@ -22,6 +22,7 @@ from .invariants import _chromatic_with_clique, chi_rho, clique_number
 from .io import FORMATS, encode_graph6, parse_corpus, write_json
 from .structures import (
     Multicover,
+    Shower,
     enumerate_jets,
     shower_from_bfs,
     verify_multicover,
@@ -195,6 +196,11 @@ def _entry_graph(args) -> Graph:
 
 
 def _cmd_shower(args) -> int:
+    if args.jets:
+        # on a one-vertex shower first: a jet argument the library rejects
+        # is an input error whether or not the corpus gives a shower
+        one = Shower(Graph(1), (frozenset({0}),), 0)
+        enumerate_jets(one, args.jets, ell=args.ell, d=args.d, budget=Budget(None))
     g = _entry_graph(args)
     shower = shower_from_bfs(g, args.root, args.depth, args.drain)
     if shower is None:

@@ -1,22 +1,24 @@
 """Corpus ingestion (graph6, edge-list, and DIMACS .col formats) and the
-JSON writer of every report.
+JSON writer of every report, which encodes the values reports hold and
+hands any other value to json.dumps.
 
 graph6 encoding is bit-exact per the published format for n <= 62 (short
 form) and n <= 2^36 - 1 (four-byte extended form): six bits per byte,
 offset 63, upper-triangle adjacency in column-major order, zero-padded to a
-byte boundary. Parsing is strict; malformed input raises InputError naming
-the line number.
+byte boundary. Parsing is strict, the padding bits included; malformed
+input raises InputError naming the line number.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, graph_from_edges
 
 FORMATS = ("graph6", "edgelist", "dimacs")
 
@@ -33,6 +35,10 @@ class CorpusEntry:
 # ---------------------------------------------------------------------------
 # graph6
 
+# each graph6 character as the six binary digits it stands for, and back
+_SIX_BITS = {63 + d: f"{d:06b}" for d in range(64)}
+_CHARS = {digits: chr(c) for c, digits in _SIX_BITS.items()}
+
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph in graph6 format (no header)."""
@@ -40,33 +46,23 @@ def encode_graph6(g: Graph) -> str:
     if n > 2**36 - 1:
         raise InputError("graph too large for graph6")
     if n <= 62:
-        head = chr(n + 63)
+        size = f"{n:06b}"
     elif n <= 258047:
-        head = "~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (12, 6, 0)
-        )
+        size = "1" * 6 + f"{n:018b}"
     else:
-        head = "~~" + "".join(
-            chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0)
-        )
-    bits_out = []
-    for v in range(1, n):
-        col = g.adjacency_mask(v)
-        for u in range(v):
-            bits_out.append((col >> u) & 1)
-    while len(bits_out) % 6:
-        bits_out.append(0)
-    chars = []
-    for i in range(0, len(bits_out), 6):
-        value = 0
-        for b in bits_out[i : i + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return head + "".join(chars)
+        size = "1" * 12 + f"{n:036b}"
+    # column v holds the edges uv, u < v, in increasing u
+    body = "".join(
+        f"{g.adjacency_mask(v) & ((1 << v) - 1):0{v}b}"[::-1] for v in range(1, n)
+    )
+    return _graph6_chars(size + body)
 
 
-# each graph6 character as the six binary digits it stands for
-_SIX_BITS = {63 + d: f"{d:06b}" for d in range(64)}
+def _graph6_chars(digits: str) -> str:
+    """Binary digits as graph6 characters, six to a character, the last
+    zero-padded to six."""
+    digits += "0" * (-len(digits) % 6)
+    return "".join(_CHARS[digits[i : i + 6]] for i in range(0, len(digits), 6))
 
 
 def decode_graph6(line: str) -> Graph:
@@ -95,7 +91,7 @@ def decode_graph6(line: str) -> Graph:
             f"graph6 body length {len(line) - pos} does not match n={n}"
         )
     # the body as one string of binary digits, read at its ones: digit
-    # v(v-1)/2 + u is the edge uv, u < v; the padding is ignored
+    # v(v-1)/2 + u is the edge uv, u < v; the padding must be zeros
     body = line[pos:].translate(_SIX_BITS)
     edges = []
     v = 1
@@ -107,6 +103,8 @@ def decode_graph6(line: str) -> Graph:
             v += 1
         edges.append((i - column, v))
         i = body.find("1", i + 1)
+    if i >= 0:
+        raise InputError("graph6 padding bits are not zero")
     return Graph(n, edges)
 
 
@@ -127,8 +125,7 @@ def _parse_edgelist(lines: list[tuple[int, str]]) -> Graph:
         if u < 0 or v < 0:
             raise InputError(f"line {lineno}: negative vertex index")
         edges.append((u, v))
-    n = 1 + max((max(u, v) for u, v in edges), default=-1)
-    return Graph(n, edges)
+    return graph_from_edges(edges)
 
 
 def _ints(lineno: int, fields: list[str]) -> list[int]:
@@ -213,107 +210,61 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
 #
 # The bytes are those of json.dumps(payload, indent=2). With an indent the
 # stdlib leaves its C encoder for a Python one that handles every int
-# apart; this one joins a list of plain ints, the bulk of a hole report,
-# in one step, and encodes every other value by the stdlib's rules.
+# apart; this one encodes the values reports hold (str keys, strs, plain
+# ints, bools, None, lists and tuples) and joins a list of plain ints, the
+# bulk of a hole report, in one step. Any other value, a --timing float
+# among them, goes to json.dumps itself.
 
-_INF = float("inf")
 _PLAIN_INT = {int}
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key: Any) -> str:
-    """A dict key as the stdlib coerces it to a string."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
-def _ints_text(value: Any, newline: str) -> str | None:
-    """value as indented JSON when it is a non-empty list or tuple of plain
-    ints (not bools, not int subclasses), else None."""
-    if type(value) not in (list, tuple) or not value or set(map(type, value)) != _PLAIN_INT:
-        return None
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-
-
-def _json_text(value: Any, newline: str, open_ids: set[int]) -> str:
+def _json_text(value: Any, newline: str) -> str:
     """value as indented JSON, its closing bracket preceded by `newline`
-    (a line break and the indent of the line it opens on); `open_ids`
-    holds the containers it sits in, to refuse a circular payload as the
-    stdlib does."""
-    if isinstance(value, str):
+    (a line break and the indent of the line it opens on)."""
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
-        text = _ints_text(value, newline)
-        if text is not None:
-            return text
         inner = newline + "  "
-        _enter(value, open_ids)
-        items = [
-            _ints_text(item, inner) or _json_text(item, inner, open_ids)
-            for item in value
-        ]
-        open_ids.discard(id(value))
+        if set(map(type, value)) == _PLAIN_INT:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
-        _enter(value, open_ids)
-        items = [
-            encode_basestring_ascii(_key_text(key)) + ": " + _json_text(item, inner, open_ids)
-            for key, item in value.items()
-        ]
-        open_ids.discard(id(value))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _enter(container: Any, open_ids: set[int]) -> None:
-    if id(container) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(container))
+        try:
+            items = [
+                encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                for key, item in value.items()
+            ]
+        except TypeError:  # a key that is not a str, or a value json.dumps refuses
+            pass
+        else:
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def write_json(payload: Any, path: str | None = None) -> None:
     """Write payload as JSON indented by two, plus a newline, to path or,
     without one, to stdout; every report goes through here, so the same
     payload gives the same bytes on either."""
-    text = _json_text(payload, "\n", set()) + "\n"
+    try:
+        text = _json_text(payload, "\n") + "\n"
+    except RecursionError:  # a circular payload: json.dumps refuses it
+        text = json.dumps(payload, indent=2) + "\n"
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -139,7 +139,7 @@ def test_campaign_seed_reaches_balance_check(monkeypatch):
     monkeypatch.setattr(campaign, "is_k_balanced", recording)
     corpus = entries_of(complete_graph(3), Graph(4, cycle_graph(4)))
     report = run_campaign("kalai_balance", corpus, {"k": 1}, seed=7)
-    assert seeds == [7, 7]
+    assert seeds == [7, 7, 7]  # the null-graph probe of the parameters, then each entry
     assert report_as_dict(report)["seed"] == 7
 
 

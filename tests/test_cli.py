@@ -359,6 +359,16 @@ MALFORMED = [
     pytest.param(
         "shower {ok} --root 0 --depth 2 --drain 2 --jets 3 --ell 2 --d -2", None, id="shower-d"
     ),
+    # with a shower (vertex 3 of C8 is at distance 3 from 0) and without one
+    *(
+        pytest.param(
+            f"shower {{ok}} --root 0 --depth 3 --drain {drain} --jets 4 {arg}",
+            None,
+            id=f"shower-{name}-drain-{drain}",
+        )
+        for drain in (3, 0)
+        for name, arg in (("d", "--d -1"), ("ell", "--ell 1"))
+    ),
     pytest.param("holes {ok} --ell 0", None, id="holes-ell"),
     pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),
     pytest.param("holes {ok} --ell 3 --d -1", None, id="holes-d"),

@@ -50,6 +50,38 @@ def test_graph6_roundtrip_random():
         assert decode_graph6(encode_graph6(g)) == g
 
 
+def encode_graph6_per_bit(g: Graph) -> str:
+    """The reference encoder: the edge bits one at a time, folded six to a
+    character."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    bits_out = []
+    for v in range(1, n):
+        col = g.adjacency_mask(v)
+        for u in range(v):
+            bits_out.append((col >> u) & 1)
+    while len(bits_out) % 6:
+        bits_out.append(0)
+    chars = []
+    for i in range(0, len(bits_out), 6):
+        value = 0
+        for b in bits_out[i : i + 6]:
+            value = (value << 1) | b
+        chars.append(chr(value + 63))
+    return head + "".join(chars)
+
+
+def test_graph6_encoder_matches_the_per_bit_reference():
+    rng = random.Random(5)
+    for n in range(131):  # both the short and the four-character size field
+        for density in (0.0, rng.random(), 1.0):
+            g = random_graph(rng, n, density)
+            assert encode_graph6(g) == encode_graph6_per_bit(g), (n, density)
+
+
 def test_graph6_long_form_size_field():
     g = Graph(70)
     text = encode_graph6(g)
@@ -66,6 +98,8 @@ def test_graph6_rejects_malformed():
         decode_graph6("C")  # body too short for n=4
     with pytest.raises(InputError):
         decode_graph6("Chh")  # body too long
+    with pytest.raises(InputError, match="padding"):
+        decode_graph6("Dhf")  # the 5-cycle "Dhc" with a padding bit set
 
 
 def test_parse_corpus_graph6(tmp_path):
@@ -279,6 +313,11 @@ CLI_REPORTS = [
     *(["verify", predicate, "{c}"] for predicate in holelab.cli.PREDICATES),
     ["verify", "clique_parity", "{c}", "--timing"],
     ["verify", "kalai_balance", "{c}", "--timing"],
+    ["--budget-nodes", "3", "holes", "{c}"],
+    ["--budget-nodes", "3", "invariants", "{c}", "--rho", "1"],
+    ["--budget-nodes", "3", "verify", "ternary_euler", "{c}"],
+    ["--format", "edgelist", "holes", "{e}"],
+    ["--format", "dimacs", "invariants", "{d}", "--rho", "1"],
 ]
 
 
@@ -286,7 +325,8 @@ CLI_REPORTS = [
     "argv", CLI_REPORTS, ids=lambda argv: "-".join(arg for arg in argv if "{" not in arg)
 )
 def test_cli_reports_are_the_bytes_of_json_dumps(argv, tmp_path, monkeypatch):
-    """Every report the CLI writes on the le7 corpus, --timing floats too."""
+    """Every report the CLI writes on the le7 corpus, --timing floats and
+    budget errors too, and on an edge-list and a DIMACS corpus."""
     payloads = []
 
     def record(payload, path=None):
@@ -296,8 +336,12 @@ def test_cli_reports_are_the_bytes_of_json_dumps(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(holelab.cli, "write_json", record)
     witness = tmp_path / "w.json"
     witness.write_text('{"X": [0], "families": {"0": [1, 2]}, "C": [3]}')
+    edgelist = tmp_path / "g.edges"
+    edgelist.write_text("".join(f"{u} {v}\n" for u, v in petersen_graph().edges()))
+    dimacs = tmp_path / "g.col"
+    dimacs.write_text("p edge 6 6\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in cycle_graph(6)))
     out = tmp_path / "out.json"
-    fields = {"c": str(CORPUS_LE7), "w": str(witness)}
+    fields = {"c": str(CORPUS_LE7), "w": str(witness), "e": str(edgelist), "d": str(dimacs)}
     holelab.cli.main(["--json-out", str(out)] + [arg.format(**fields) for arg in argv])
     (payload,) = payloads
     assert out.read_text(encoding="ascii") == stdlib_text(payload)
