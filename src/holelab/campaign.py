@@ -81,25 +81,33 @@ def _as_int(key: str, value: Any) -> int:
 
 def _read_params(predicate: str, params: dict) -> dict:
     """The values the predicate's check uses, as ints, read once per
-    campaign; the check itself rejects a value out of range."""
+    campaign, keyed by parameter name; a key the check does not read is
+    refused, and the check itself rejects a value out of range."""
+    opts: dict[str, Any] = {}
     if predicate == "kalai_balance":
-        return {"k": _as_int("k", params.get("k", 1))}
-    if predicate == "hole_mod_coverage":
+        opts = {"k": _as_int("k", params.get("k", 1))}
+    elif predicate == "hole_mod_coverage":
         d = params.get("d")
         required = params.get("require", ())
         if isinstance(required, (int, str)):  # one residue, or "a,b,..." text
             required = str(required).split(",")
-        return {
+        opts = {
             "ell": _as_int("ell", params.get("ell", 3)),
             "d": None if d is None else _as_int("d", d),
             "require": [_as_int("require", r) for r in required],
         }
-    if predicate == "consecutive_holes":
-        return {
+    elif predicate == "consecutive_holes":
+        opts = {
             "ell": _as_int("ell", params.get("ell", 4)),
             "require_pair": params.get("require_pair"),
         }
-    return {}
+    unknown = sorted(set(params) - set(opts))
+    if unknown:
+        reads = ", ".join(sorted(opts)) or "no parameters"
+        raise InputError(
+            f"unknown parameter {unknown[0]!r} for {predicate}, which reads {reads}"
+        )
+    return opts
 
 
 def _check_kalai_balance(

@@ -196,7 +196,7 @@ def _entry_graph(args) -> Graph:
 
 
 def _cmd_shower(args) -> int:
-    if args.jets:
+    if args.jets is not None:
         # on a one-vertex shower first: a jet argument the library rejects
         # is an input error whether or not the corpus gives a shower
         one = Shower(Graph(1), (frozenset({0}),), 0)
@@ -214,7 +214,7 @@ def _cmd_shower(args) -> int:
         "floor": sorted(floor),
         "valid": report.valid,
     }
-    if args.jets:
+    if args.jets is not None:
         budget = Budget(args.budget_nodes)
         try:
             jets, summary = enumerate_jets(

@@ -2,13 +2,16 @@
 
 Same algorithm as the pure-Python kernel (see _pycore.py for the full
 description): anchored DFS over induced paths with a completion-feasibility
-prune in two layers, a BFS and a chain-contraction sweep. Bitsets are
-fixed-width word arrays instead of Python ints, and the contraction is
-built afresh for each call that reaches the sweep, where the pure kernel
-patches the one it kept. The emitted hole stream is identical to the pure
-kernel's: superedges are discovered in the same order, the same odd
-superedges are tracked, and pruning is sound, so DFS emissions coincide
-exactly.
+prune. Of the pure kernel's three layers it runs two, the BFS and the
+chain-contraction sweep: the pure kernel's second layer, a short DFS for a
+return path of admissible length, only ever accepts where the sweep
+accepts, so leaving it out changes no verdict. Bitsets are fixed-width
+word arrays instead of Python ints, and the contraction is built afresh
+for each call that reaches the sweep, where the pure kernel patches the
+one it kept. The emitted hole stream is identical to the pure kernel's:
+superedges are discovered in the same order, the same odd superedges are
+tracked, the prune gives the same verdicts, and pruning is sound, so DFS
+emissions coincide exactly.
 
 Build by hand (setup.py does the same through setuptools):
 

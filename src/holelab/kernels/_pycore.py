@@ -11,13 +11,17 @@ bitmasks: the frame of the path's end is held in local variables, saved on
 a stack only when the path grows, and a node hands back the holes it
 closes as soon as it is made (see find_holes). When an upper length bound
 is given, each extension is pruned with a completion-feasibility test on
-the residual graph, in two layers:
+the residual graph, in three layers:
 
 1. A bitset BFS from the path's end, at most `hi` levels deep. If the
    anchor is out of reach, no return path is short enough; if it is first
    reached at a depth that is itself an admissible length, the shortest
    path is a return path. Either way the answer is settled.
-2. Otherwise degree-2 chains are contracted to weighted superedges,
+2. Where the sweep of layer 3 would need a contraction built from scratch,
+   a DFS of at most CERTIFICATE_STEPS steps looks for a simple return path
+   of admissible length. Finding one settles the call (it is accepted);
+   finding none settles nothing.
+3. Otherwise degree-2 chains are contracted to weighted superedges,
    odd-weight superedges are treated as use-at-most-once resources, and a
    shortest-path sweep over (branch vertex, odd-superedge subset, weight
    residue) states decides whether a return path with an admissible total
@@ -31,17 +35,21 @@ residual graph, and siblings differ only in their start vertex, so the
 contraction is not rebuilt per call: the prune keeps the last one it made
 at each DFS depth and patches it, or the one of the depth above, redoing
 only the superedges through vertices whose residual neighbours or role
-changed (see _patch). A patch reproduces all three
-facts exactly, so verdicts do not depend on how the contraction was made.
+changed (see _patch). A patch reproduces all three facts exactly, and
+patches may start from any kept contraction, so verdicts do not depend on
+how the contraction was made, nor on the depths where a certificate hit
+left the kept one stale.
 
-Layer 1 only answers where the sweep of layer 2 answers the same, so the
-prune's verdict does not depend on which layer gave it. The test only ever
-rejects impossible completions, so pruning never changes the emitted set of
-holes. The compiled kernel (_fastcore.c) runs the same two layers, with a
-contraction built afresh for each call that reaches the sweep, and gives
-the same verdicts, so it agrees with this one hole for hole and DFS node
-for DFS node; this kernel is its fallback where no C compiler is present,
-and its oracle in the tests.
+Layers 1 and 2 only answer where the sweep of layer 3 answers the same:
+a simple return path of admissible length is a walk the sweep counts, and
+the sweep accepts every such walk. So the prune's verdict does not depend
+on which layer gave it, and the certificate never changes one. The test
+only ever rejects impossible completions, so pruning never changes the
+emitted set of holes. The compiled kernel (_fastcore.c) runs layers 1 and
+3, with a contraction built afresh for each call that reaches the sweep,
+and gives the same verdicts, so it agrees with this one hole for hole and
+DFS node for DFS node; this kernel is its fallback where no C compiler is
+present, and its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -59,12 +67,22 @@ IMPLEMENTATION = "pure"
 MAX_TRACKED_ODD = 6
 MAX_RESIDUE_MOD = 64
 TRACKED_BITS = (1 << MAX_TRACKED_ODD) - 1
-# A kept contraction is patched when the patch (sized as in _contraction_at)
+# A kept contraction is patched when the patch (sized as in _patch_source)
 # is at most 1/REBUILD_RATIO of the live vertices, and the contraction is
 # built afresh otherwise: on random, Mycielski and gadget residuals of 20 to
 # 1000 vertices, patches of a third to a half of that size took about as
 # long as a build, and smaller ones less.
 REBUILD_RATIO = 3
+# The step cap of the path certificate, 64 measured against 16 on the pure
+# kernel. perfbench holes-window (seed 2, 4 rounds): wall_s 0.175-0.182 s
+# against 0.185-0.198 s (0.230-0.240 s without the certificate), first_hit_s
+# the same; hits on its random graphs 1354 of 1604 calls against 1100 of
+# 1460, on its gadgets 40 of 47 against 0 of 9. Myc4 (best of 5): window
+# [5, 8] the same, 1224 of 1287 calls hit either way; the first hole of
+# [11, 11] 0.05 s against 0.08 s; the full search of [13, 13] 1.8-2.0 s
+# against 2.0-2.2 s (2.3-2.6 s without). Caps of 128 and 256 hit a few %
+# more often and were no faster.
+CERTIFICATE_STEPS = 64
 
 
 def _completion_feasible(
@@ -88,7 +106,17 @@ def _completion_feasible(
     path of admissible length; the sweep finds that state at distance d,
     since no walk is shorter, and accepts. Only calls that reach the anchor
     at a level below lo go on to the sweep, which reads the contraction
-    that _contraction_at keeps for this DFS depth in `contractions`.
+    that _patch_source picks to patch from `contractions`, the last one
+    built at each DFS depth, or builds afresh.
+
+    Where it would build afresh, layer 2, _path_certificate, runs first. A
+    simple path from start to anchor passes each chain of degree-2
+    vertices whole, since start and anchor are branch vertices, and each
+    superedge and branch vertex at most once: it is a walk of the same
+    length that the sweep counts, so the sweep accepts whenever the
+    certificate does. A hit returns True with no contraction built, and
+    leaves the one kept for this depth as it was; a miss goes on to the
+    build and the sweep.
     """
     live = allowed | (1 << start) | (1 << anchor)
     anchor_bit = 1 << anchor
@@ -103,13 +131,54 @@ def _completion_feasible(
         if frontier & anchor_bit:
             if level >= lo:
                 return True
-            con = _contraction_at(
-                adj, contractions, depth, live, (1 << start) | anchor_bit
-            )
+            forced = (1 << start) | anchor_bit
+            source = _patch_source(adj, contractions, depth, live, forced)
+            if source is None:
+                if _path_certificate(adj, live, start, anchor, lo, hi):
+                    return True
+                con = _contract(adj, live, forced)
+            else:
+                con = _patch(adj, source, live, forced)
+            contractions[depth] = con
             return _sweep(con, start, anchor, lo, hi)
         if not frontier:
             return False
         seen |= frontier
+    return False
+
+
+def _path_certificate(
+    adj: Sequence[int], live: int, start: int, anchor: int, lo: int, hi: int
+) -> bool:
+    """Does a DFS of at most CERTIFICATE_STEPS steps find a simple path
+    from start to anchor within `live`, with length in [lo, hi]?
+
+    The DFS extends the path lowest vertex first, one step per vertex it
+    tries, never through the anchor, and never to a length from which the
+    anchor is out of reach within hi; it accepts as soon as the path's end
+    has the anchor as a neighbour at an admissible length.
+    """
+    anchor_bit = 1 << anchor
+    avail = live & ~anchor_bit & ~(1 << start)  # vertices off the path
+    ext = adj[start] & avail  # the children still to try
+    length = 1  # the length of the path to a child
+    stack = []
+    for _ in range(CERTIFICATE_STEPS):
+        while not ext:
+            if not stack:
+                return False
+            ext, avail = stack.pop()
+            length -= 1
+        w_bit = ext & -ext
+        ext ^= w_bit
+        adj_w = adj[w_bit.bit_length() - 1]
+        if adj_w & anchor_bit and lo <= length + 1 <= hi:
+            return True
+        if length + 2 <= hi:
+            stack.append((ext, avail))
+            avail ^= w_bit
+            ext = adj_w & avail
+            length += 1
     return False
 
 
@@ -406,25 +475,25 @@ def _retrack(
         _toggle(con, owned, x, y, weight << MAX_TRACKED_ODD | now, 1)
 
 
-def _contraction_at(
+def _patch_source(
     adj: Sequence[int],
     contractions: list[_Contraction | None],
     depth: int,
     live: int,
     forced: int,
-) -> _Contraction:
-    """The contraction of `live` for a call at this DFS depth, and from now
-    on the one kept for this depth.
+) -> _Contraction | None:
+    """The kept contraction to patch into the one of `live` for a call at
+    this DFS depth, or None where it is cheaper to build it afresh.
 
-    It is patched from the one kept for this depth (a sibling's, which
-    differs in the start vertex only) or for the depth above (the
-    parent's, which differs in the neighbours of the vertex the path grew
-    by), whichever needs the smaller patch, and built afresh when both
-    would need more than 1/REBUILD_RATIO of the live vertices. A patch
-    redoes the superedges at the vertices that come or go, so its size is
-    counted as those vertices and their edges, plus the vertices that only
-    become or stop being forced: that changes a superedge only where the
-    vertex has degree 2.
+    The candidates are the contraction kept for this depth (a sibling's,
+    which differs in the start vertex only) and the one kept for the depth
+    above (the parent's, which differs in the neighbours of the vertex the
+    path grew by); the one needing the smaller patch wins, and neither does
+    when both would need more than 1/REBUILD_RATIO of the live vertices. A
+    patch redoes the superedges at the vertices that come or go, so its
+    size is counted as those vertices and their edges, plus the vertices
+    that only become or stop being forced: that changes a superedge only
+    where the vertex has degree 2.
     """
     best = None
     fewest = live.bit_count() // REBUILD_RATIO
@@ -440,12 +509,7 @@ def _contraction_at(
             size += (adj[v_bit.bit_length() - 1] & around).bit_count()
         if size <= fewest:
             best, fewest = source, size
-    if best is None:
-        con = _contract(adj, live, forced)
-    else:
-        con = _patch(adj, best, live, forced)
-    contractions[depth] = con
-    return con
+    return best
 
 
 def _sweep_feasible(
@@ -461,7 +525,7 @@ def _sweep_feasible(
 
     It builds the contraction from scratch with _contract, which is also
     where the contractions that the DFS keeps per depth and patches start
-    (see _contraction_at); the tests use it as their oracle.
+    (see _patch_source); the tests use it as their oracle.
 
     Maximal chains of degree-2 vertices collapse into superedges carrying
     their lengths. A simple path traverses any chain wholly or not at all,

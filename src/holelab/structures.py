@@ -646,6 +646,8 @@ def enumerate_jets(
     lengths: residues mod ell and the largest t for which the jetset is
     (t, ell)-complete, i.e. contains t consecutive lengths mod ell.
     """
+    if max_len < 0:
+        raise InputError("jet length must be nonnegative")
     if d is not None and d < 0:
         raise InputError("d must be nonnegative")
     budget = ensure_budget(budget)

@@ -159,9 +159,19 @@ def test_predicates_tuple_matches_registry():
         ("hole_mod_coverage", {"d": "x"}),
         ("hole_mod_coverage", {"require": "0,x"}),
         ("consecutive_holes", {"ell": "x"}),
+        ("hole_mod_coverage", {"ell": 3, "requre": 1}),
+        ("consecutive_holes", {"k": 1}),
+        ("ternary_euler", {"ell": 3}),
     ],
 )
 def test_params_are_read_before_any_entry(predicate, params):
     for corpus in ([], entries_of(petersen_graph())):
         with pytest.raises(InputError):
             run_campaign(predicate, corpus, params)
+
+
+def test_unknown_param_names_the_keys_read():
+    with pytest.raises(InputError, match="'requre' for hole_mod_coverage, which reads d, ell, require"):
+        run_campaign("hole_mod_coverage", [], {"ell": 3, "requre": 1})
+    with pytest.raises(InputError, match="clique_parity, which reads no parameters"):
+        run_campaign("clique_parity", [], {"k": 1})

@@ -189,6 +189,13 @@ def test_shower_command(corpus, tmp_path):
     assert row["layers"] == [[0], [1, 5], [2, 4], [3]]
     assert row["jets"] == [[0, 1, 2, 3], [0, 5, 4, 3]]
     assert row["jet_summary"]["residues"] == [0]
+    # a maximum jet length of 0 is a jet search that finds nothing
+    argv = [
+        "--json-out", str(out), "shower", corpus(Graph(8, cycle_graph(8))),
+        "--root", "0", "--depth", "3", "--drain", "3", "--jets", "0",
+    ]
+    assert main(argv) == EXIT_CLEAN
+    assert json.loads(out.read_text())["jets"] == []
 
 
 def test_structures_command(corpus, tmp_path):
@@ -352,6 +359,13 @@ MALFORMED = [
     pytest.param("verify hole_mod_coverage {empty} --param ell=0", None, id="param-ell-range-empty"),
     pytest.param("verify hole_mod_coverage {ok} --param d=-1", None, id="param-d-range"),
     pytest.param("verify hole_mod_coverage {empty} --param d=-1", None, id="param-d-range-empty"),
+    # a key the predicate does not read, as a misspelling or on a predicate
+    # that reads none
+    pytest.param(
+        "verify hole_mod_coverage {ok} --param ell=3 --param requre=1", None, id="param-unknown"
+    ),
+    pytest.param("verify kalai_balance {empty} --param ell=3", None, id="param-unknown-empty"),
+    pytest.param("verify clique_parity {ok} --param k=1", None, id="param-none-read"),
     pytest.param("shower {ok} --root 9 --depth 1 --drain 1", None, id="shower-root"),
     pytest.param("shower {ok} --root 0 --depth 1 --drain -1", None, id="shower-drain"),
     pytest.param("shower {ok} --entry 1 --root 0 --depth 1 --drain 1", None, id="shower-entry"),
@@ -368,6 +382,14 @@ MALFORMED = [
         )
         for drain in (3, 0)
         for name, arg in (("d", "--d -1"), ("ell", "--ell 1"))
+    ),
+    *(
+        pytest.param(
+            f"shower {{ok}} --root 0 --depth 3 --drain {drain} --jets -1",
+            None,
+            id=f"shower-jets-drain-{drain}",
+        )
+        for drain in (3, 0)
     ),
     pytest.param("holes {ok} --ell 0", None, id="holes-ell"),
     pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),

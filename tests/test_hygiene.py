@@ -1,4 +1,5 @@
-"""Source hygiene checks on the package, by its syntax tree alone."""
+"""Source hygiene checks on the package, by its syntax tree alone, and on
+the private names that perfbench hooks into it."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import ast
 from pathlib import Path
 
 import holelab
+from holelab.kernels import _pycore
 
 PACKAGE = Path(holelab.__file__).parent
 
@@ -67,3 +69,18 @@ def test_the_check_sees_an_unused_import():
     )
     used = used_names(tree)
     assert [n for n in imported_names(tree) if n not in used] == ["Any"]
+
+
+def test_perfbench_prune_hook_is_defined():
+    """perfbench's tracer wraps the pure kernel's prune by the name in its
+    PRUNE_HOOK, and skips it silently when the kernel has no such name; a
+    rename must not drop kernels.prune_* from traced runs unseen."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    hooks = [
+        node.value.value
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["PRUNE_HOOK"]
+    ]
+    assert len(hooks) == 1
+    assert callable(getattr(_pycore, hooks[0], None))

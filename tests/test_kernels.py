@@ -13,7 +13,7 @@ import pytest
 
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError
-from holelab.gadgets import findhole_gadget
+from holelab.gadgets import findhole_gadget, standard_family
 from holelab.graph import Graph
 from holelab.holes import enumerate_holes
 from holelab.kernels import _pycore
@@ -194,36 +194,51 @@ def contraction_facts(con):
 
 def test_patched_contraction_equals_fresh_one(monkeypatch):
     """Every contraction a sweep reads, patched along the DFS, is the one
-    built from scratch on the same residual graph."""
-    feasible, sweep, patch = (
-        _pycore._completion_feasible, _pycore._sweep, _pycore._patch
+    built from scratch on the same residual graph.
+
+    A certificate hit leaves the contraction kept for its depth as it was,
+    so the kept ones can be stale; the sweeps must still read contractions
+    built afresh and patched from both a sibling's and the parent's."""
+    feasible, sweep, patch, contract = (
+        _pycore._completion_feasible, _pycore._sweep, _pycore._patch, _pycore._contract
     )
     call = {}
-    checked = patched = 0
+    checked = fresh_builds = 0
+    patched = {"sibling": 0, "parent": 0}
 
-    def record_call(adj, allowed, start, anchor, lo, hi, *kept):
-        call.update(adj=adj, live=allowed | (1 << start) | (1 << anchor))
-        return feasible(adj, allowed, start, anchor, lo, hi, *kept)
+    def record_call(adj, allowed, start, anchor, lo, hi, contractions, depth):
+        call.update(
+            adj=adj, live=allowed | (1 << start) | (1 << anchor),
+            sibling=contractions[depth], parent=contractions[depth - 1],
+        )
+        return feasible(adj, allowed, start, anchor, lo, hi, contractions, depth)
 
     def check_sweep(con, start, anchor, lo, hi):
         nonlocal checked
         assert con.live == call["live"]
         assert con.forced == (1 << start) | (1 << anchor)
-        fresh = _pycore._contract(call["adj"], con.live, con.forced)
+        fresh = contract(call["adj"], con.live, con.forced)
         assert contraction_facts(con) == contraction_facts(fresh)
         verdict = sweep(con, start, anchor, lo, hi)
         assert sweep(fresh, start, anchor, lo, hi) == verdict
         checked += 1
         return verdict
 
-    def count_patch(*args):
-        nonlocal patched
-        patched += 1
-        return patch(*args)
+    def count_patch(adj, source, live, forced):
+        source_is = [name for name in patched if call[name] is source]
+        assert len(source_is) == 1
+        patched[source_is[0]] += 1
+        return patch(adj, source, live, forced)
+
+    def count_contract(*args):
+        nonlocal fresh_builds
+        fresh_builds += 1
+        return contract(*args)
 
     monkeypatch.setattr(_pycore, "_completion_feasible", record_call)
     monkeypatch.setattr(_pycore, "_sweep", check_sweep)
     monkeypatch.setattr(_pycore, "_patch", count_patch)
+    monkeypatch.setattr(_pycore, "_contract", count_contract)
     for g in prune_graphs():
         for lo, hi in PRUNE_WINDOWS:
             holes_of(_pycore, g, lo, hi)
@@ -231,7 +246,46 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
         for paths in ((2, 2, 4), (4, 4, 2)):
             gadget = findhole_gadget(ell, *paths)
             assert len(first_hit_count(_pycore, gadget, ell, ell)[0]) == ell
-    assert checked > 1000 and patched > checked // 2
+    assert checked == fresh_builds + sum(patched.values())
+    assert checked > 1000 and sum(patched.values()) > checked // 2
+    assert fresh_builds > 50 and min(patched.values()) > 100, patched
+
+
+def test_certificate_hits_are_sweep_accepts(monkeypatch, corpus_le7):
+    """A return path the certificate finds is a walk the sweep counts, so
+    the full sweep accepts every call the certificate accepts; and a hit
+    leaves the contraction kept for its depth as it was."""
+    feasible, certify = _pycore._completion_feasible, _pycore._path_certificate
+    hits, misses = [], 0
+
+    def record_call(adj, allowed, start, anchor, lo, hi, contractions, depth):
+        kept, before = len(hits), contractions[depth]
+        verdict = feasible(adj, allowed, start, anchor, lo, hi, contractions, depth)
+        if len(hits) > kept:
+            assert verdict and contractions[depth] is before
+        return verdict
+
+    def record_certificate(*args):
+        nonlocal misses
+        found = certify(*args)
+        if found:
+            hits.append(args)
+        else:
+            misses += 1
+        return found
+
+    monkeypatch.setattr(_pycore, "_completion_feasible", record_call)
+    monkeypatch.setattr(_pycore, "_path_certificate", record_certificate)
+    for g in corpus_le7:
+        for lo, hi in ALL_WINDOWS:
+            holes_of(_pycore, g, lo, hi)
+    holes_of(_pycore, standard_family("mycielski_iterate", 4), 5, 8)
+    for ell in (24, 25, 26):
+        gadget = findhole_gadget(ell, 2, 2, 4)
+        assert len(first_hit_count(_pycore, gadget, ell, ell)[0]) == ell
+    assert len(hits) > 1000 and misses > 1000
+    for adj, live, start, anchor, lo, hi in hits:
+        assert _pycore._sweep_feasible(adj, live, start, anchor, lo, hi)
 
 
 def test_patch_between_any_two_residual_graphs():
