@@ -82,7 +82,8 @@ def _as_int(key: str, value: Any) -> int:
 def _read_params(predicate: str, params: dict) -> dict:
     """The values the predicate's check uses, as ints, read once per
     campaign, keyed by parameter name; a key the check does not read is
-    refused, and the check itself rejects a value out of range."""
+    refused, and a value out of range is refused here (require_pair, a
+    flag of 0 or 1) or by the check itself."""
     opts: dict[str, Any] = {}
     if predicate == "kalai_balance":
         opts = {"k": _as_int("k", params.get("k", 1))}
@@ -99,8 +100,12 @@ def _read_params(predicate: str, params: dict) -> dict:
     elif predicate == "consecutive_holes":
         opts = {
             "ell": _as_int("ell", params.get("ell", 4)),
-            "require_pair": params.get("require_pair"),
+            "require_pair": _as_int("require_pair", params.get("require_pair", 0)),
         }
+        if opts["require_pair"] not in (0, 1):
+            raise InputError(
+                f"parameter require_pair={params['require_pair']!r} is not 0 or 1"
+            )
     unknown = sorted(set(params) - set(opts))
     if unknown:
         reads = ", ".join(sorted(opts)) or "no parameters"

@@ -82,7 +82,17 @@ def _cmd_invariants(args) -> int:
     return _per_entry(args, fill)
 
 
+def _needs(args, option: str, *others: str) -> None:
+    """Refuse each of `others` given without `option`, which it only acts
+    with."""
+    for other in others:
+        if getattr(args, other) is not None and getattr(args, option) is None:
+            raise InputError(f"--{other} needs --{option}")
+
+
 def _cmd_holes(args) -> int:
+    _needs(args, "ell", "d")
+
     def fill(row: dict, g: Graph, budget: Budget) -> None:
         row["n"] = g.n
         if args.ell is not None:
@@ -196,6 +206,7 @@ def _entry_graph(args) -> Graph:
 
 
 def _cmd_shower(args) -> int:
+    _needs(args, "jets", "ell", "d")
     if args.jets is not None:
         # on a one-vertex shower first: a jet argument the library rejects
         # is an input error whether or not the corpus gives a shower

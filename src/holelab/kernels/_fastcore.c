@@ -9,9 +9,9 @@ accepts, so leaving it out changes no verdict. Bitsets are fixed-width
 word arrays instead of Python ints, and the contraction is built afresh
 for each call that reaches the sweep, where the pure kernel patches the
 one it kept. The emitted hole stream is identical to the pure kernel's:
-superedges are discovered in the same order, the same odd superedges are
-tracked, the prune gives the same verdicts, and pruning is sound, so DFS
-emissions coincide exactly.
+superedges are discovered in the same order, both kernels give the i-th
+odd superedge subset bit i (for i < MAX_TRACKED_ODD), the prune gives the
+same verdicts, and pruning is sound, so DFS emissions coincide exactly.
 
 Build by hand (setup.py does the same through setuptools):
 
@@ -173,14 +173,11 @@ static int bfs_layer(HoleSearch *s, int start, int lo, int hi)
 }
 
 /* Sound test: can a simple path of length in [lo, hi] from start back to
-   the current anchor still exist inside `allowed`? */
+   the current anchor still exist inside `allowed`? The one caller passes
+   2 <= lo <= hi. */
 static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int lo, int hi)
 {
-    int nw = s->nw, anchor = s->anchor, nb = 0, slots = 0, nse = 0, g = 0, n_odd = 0;
-    if (hi < lo || hi < 2)
-        return 0;
-    if (lo < 2)
-        lo = 2;
+    int nw = s->nw, anchor = s->anchor, nb = 0, slots = 0, g = 0, n_odd = 0;
     for (int i = 0; i < nw; i++)
         s->live[i] = allowed[i];
     set_bit(s->live, start);
@@ -198,8 +195,6 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
             word &= word - 1;
             for (int w = 0; w < nw; w++)
                 deg += popcount64(s->adj[v * nw + w] & s->live[w]);
-            if (deg == 0 && (v == start || v == anchor))
-                return 0;
             if (deg != 2 || v == start || v == anchor) {
                 set_bit(s->branch, v);
                 s->vert_index[v] = nb;
@@ -211,9 +206,10 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
     }
     /* contract degree-2 chains into weighted superedges, listed by lower
        end and then by its neighbour; each chain is seen from both ends, keep
-       only the lower-endpoint discovery. The first few odd superedges become
-       tracked use-once resources (untracked odd ones, -2, are reusable in
-       the bound); the residue modulus comes from the even weights (-1). */
+       only the lower-endpoint discovery. The i-th odd superedge, for
+       i < MAX_TRACKED_ODD, is a tracked use-once resource with subset bit i;
+       every other superedge gets -1 and is reusable in the bound. The
+       residue modulus comes from the even weights. */
     for (int i = 0; i < nw; i++) {
         u64 branch_word = s->branch[i];
         while (branch_word) {
@@ -235,7 +231,7 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
                     if (u >= v)
                         continue;
                     if (weight % 2 == 1)
-                        odd = n_odd < MAX_TRACKED_ODD ? n_odd++ : -2;
+                        odd = n_odd < MAX_TRACKED_ODD ? n_odd++ : -1;
                     else
                         g = gcd(g, weight);
                     int ends[2] = {s->vert_index[u], s->vert_index[v]};
@@ -245,13 +241,10 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
                         s->adj_wt[slot] = weight;
                         s->adj_odd[slot] = odd;
                     }
-                    nse++;
                 }
             }
         }
     }
-    if (nse == 0)
-        return 0;
     int modulus = (0 < 2 * g && 2 * g <= MAX_RESIDUE_MOD) ? 2 * g : 2;
     int nstates_per_v = (1 << n_odd) * modulus;
     long long nstates = (long long)nb * nstates_per_v;

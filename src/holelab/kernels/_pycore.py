@@ -21,34 +21,49 @@ the residual graph, in three layers:
    a DFS of at most CERTIFICATE_STEPS steps looks for a simple return path
    of admissible length. Finding one settles the call (it is accepted);
    finding none settles nothing.
-3. Otherwise degree-2 chains are contracted to weighted superedges,
-   odd-weight superedges are treated as use-at-most-once resources, and a
+3. Otherwise degree-2 chains are contracted to weighted superedges and a
    shortest-path sweep over (branch vertex, odd-superedge subset, weight
    residue) states decides whether a return path with an admissible total
-   length can still exist.
+   length can still exist (see _sweep).
 
-The sweep's verdict depends on the contraction through three facts only:
-the superedges with their weights, which odd superedges are the first
-MAX_TRACKED_ODD in (lower end, first neighbour) order, and the gcd of the
-even weights. One DFS step removes one vertex and its neighbours from the
-residual graph, and siblings differ only in their start vertex, so the
-contraction is not rebuilt per call: the prune keeps the last one it made
-at each DFS depth and patches it, or the one of the depth above, redoing
-only the superedges through vertices whose residual neighbours or role
-changed (see _patch). A patch reproduces all three facts exactly, and
-patches may start from any kept contraction, so verdicts do not depend on
-how the contraction was made, nor on the depths where a certificate hit
-left the kept one stale.
+A simple path traverses any chain wholly or not at all, so path lengths in
+the residual graph are exactly walk weights in the contraction that use
+each odd superedge at most once and revisit no chain. The sweep relaxes
+"revisit no chain" for even superedges only, and tracks as use-once only
+the first MAX_TRACKED_ODD odd superedges in (lower end, first neighbour)
+order; the others flip parity but are reusable. That can only overestimate
+what is achievable, so the prune stays sound. A tracked superedge is named
+by its rank alone: the i-th odd superedge takes subset bit i. The verdict
+so depends on the contraction through three facts only: the superedges
+with their weights, their order, which fixes the tracked ones, and the gcd
+g of the even weights, which sets the residue modulus 2g (2 when there is
+no even superedge or 2g > MAX_RESIDUE_MOD).
 
-Layers 1 and 2 only answer where the sweep of layer 3 answers the same:
-a simple return path of admissible length is a walk the sweep counts, and
-the sweep accepts every such walk. So the prune's verdict does not depend
-on which layer gave it, and the certificate never changes one. The test
-only ever rejects impossible completions, so pruning never changes the
-emitted set of holes. The compiled kernel (_fastcore.c) runs layers 1 and
-3, with a contraction built afresh for each call that reaches the sweep,
-and gives the same verdicts, so it agrees with this one hole for hole and
-DFS node for DFS node; this kernel is its fallback where no C compiler is
+One DFS step removes one vertex and its neighbours from the residual graph,
+and siblings differ only in their start vertex, so the contraction is not
+rebuilt per call: the prune keeps the last one it made at each DFS depth
+and patches it, or the one of the depth above, redoing only the superedges
+through vertices whose residual neighbours or role changed (see _patch). A
+patch reproduces the contraction exactly, and patches may start from any
+kept contraction, so verdicts do not depend on how the contraction was
+made, nor on the depths where a certificate hit left the kept one stale.
+
+Layers 1 and 2 only answer where the sweep of layer 3 answers the same.
+Every walk the sweep counts is a walk in the residual graph, so an anchor
+beyond hi BFS levels means the sweep rejects too. An anchor first reached
+at level d >= lo (so d >= 2: the direct start-anchor edge never settles a
+call) gives a shortest path of admissible length; the sweep finds that
+state at distance d, since no walk is shorter, and accepts. A simple path
+from start to anchor, such as the certificate finds, passes each chain
+whole, since start and anchor are branch vertices, and each superedge and
+branch vertex at most once: it is a walk of the same length that the
+sweep counts, so the sweep accepts whenever the certificate does. So the
+prune's verdict does not depend on which layer gave it. The test only
+ever rejects impossible completions, so pruning never changes the emitted
+set of holes. The compiled kernel (_fastcore.c) runs layers 1 and 3, with
+a contraction built afresh for each call that reaches the sweep, and
+gives the same verdicts, so it agrees with this one hole for hole and DFS
+node for DFS node; this kernel is its fallback where no C compiler is
 present, and its oracle in the tests.
 """
 
@@ -66,7 +81,6 @@ IMPLEMENTATION = "pure"
 
 MAX_TRACKED_ODD = 6
 MAX_RESIDUE_MOD = 64
-TRACKED_BITS = (1 << MAX_TRACKED_ODD) - 1
 # A kept contraction is patched when the patch (sized as in _patch_source)
 # is at most 1/REBUILD_RATIO of the live vertices, and the contraction is
 # built afresh otherwise: on random, Mycielski and gadget residuals of 20 to
@@ -96,27 +110,17 @@ def _completion_feasible(
     depth: int,
 ) -> bool:
     """Can some simple path from start to anchor with length in [lo, hi]
-    (lo >= 2) exist within `allowed`?
+    (lo >= 2) exist within `allowed`? The three layers of the module
+    docstring, in order.
 
     Layer 1 is a BFS over the residual graph `allowed | start | anchor`,
-    at most hi levels deep. Every walk the sweep of _sweep_feasible counts
-    is a walk in the residual graph, so an anchor beyond hi levels means the
-    sweep rejects too. An anchor first reached at level d >= lo (so d >= 2:
-    the direct start-anchor edge never settles a call) gives a shortest
-    path of admissible length; the sweep finds that state at distance d,
-    since no walk is shorter, and accepts. Only calls that reach the anchor
-    at a level below lo go on to the sweep, which reads the contraction
-    that _patch_source picks to patch from `contractions`, the last one
-    built at each DFS depth, or builds afresh.
-
-    Where it would build afresh, layer 2, _path_certificate, runs first. A
-    simple path from start to anchor passes each chain of degree-2
-    vertices whole, since start and anchor are branch vertices, and each
-    superedge and branch vertex at most once: it is a walk of the same
-    length that the sweep counts, so the sweep accepts whenever the
-    certificate does. A hit returns True with no contraction built, and
-    leaves the one kept for this depth as it was; a miss goes on to the
-    build and the sweep.
+    at most hi levels deep. Only calls that reach the anchor at a level
+    below lo go on to the sweep, which reads the contraction that
+    _patch_source picks to patch from `contractions`, the last one built at
+    each DFS depth, or builds afresh. Where it would build afresh, layer 2,
+    _path_certificate, runs first: a hit returns True with no contraction
+    built, and leaves the one kept for this depth as it was; a miss goes on
+    to the build and the sweep.
     """
     live = allowed | (1 << start) | (1 << anchor)
     anchor_bit = 1 << anchor
@@ -186,22 +190,18 @@ def _path_certificate(
 class _Contraction:
     """The chain contraction of the residual graph `live`, in which the
     vertices of `forced` (start and anchor) are branch vertices whatever
-    their degree, in the form the sweep reads.
+    their degree, in the form the sweep reads (see the module docstring).
 
     `branch` holds `forced` and the vertices of residual degree other than
-    2; moves[v] may be empty, or missing, for a branch vertex v without
-    superedges. A superedge is a maximal chain of degree-2 vertices between branch
+    2. A superedge is a maximal chain of degree-2 vertices between branch
     vertices x < y, named by the tuple (x, first, y, weight), where first
-    is the neighbour of x on the chain.
-
-    moves[v] maps weight << MAX_TRACKED_ODD | bit to the mask of the other
-    ends of v's superedges of that weight and subset bit; bit is 0 unless
-    the superedge is tracked. extra[x, y, weight << MAX_TRACKED_ODD]
-    counts the untracked superedges joining x and y with that weight
-    beyond the first. `odd` lists the odd superedges in order; the first
-    MAX_TRACKED_ODD of them are tracked, each with the subset bit bits[it].
-    Which bit is which does not matter to the sweep, so a patch leaves a
-    kept superedge its bit. `evens` counts the even superedges by weight.
+    is the neighbour of x on the chain. `odd` lists the odd superedges in
+    order, and its first MAX_TRACKED_ODD are the tracked ones. The other
+    superedges are untracked: moves[v] maps a weight to the mask of the
+    other ends of v's untracked superedges of that weight (it may be empty,
+    or missing, where v has none), and extra[x, y, weight] counts those
+    joining x and y beyond the first. `evens` counts the even superedges by
+    weight.
     """
 
     live: int
@@ -210,7 +210,6 @@ class _Contraction:
     moves: dict[int, dict[int, int]]
     extra: dict[tuple[int, int, int], int]
     odd: list[tuple[int, int, int, int]]
-    bits: dict[tuple[int, int, int, int], int]
     evens: dict[int, int]
 
 
@@ -222,13 +221,12 @@ def _contract(adj: Sequence[int], live: int, forced: int) -> _Contraction:
     for v, digit in enumerate(bin(live)[:1:-1]):
         if digit == "1" and (adj[v] & live).bit_count() != 2:
             branch |= 1 << v
-    con = _Contraction(live, forced, branch, {}, {}, [], {}, {})
-    moves, extra, bits, evens = con.moves, con.extra, con.bits, con.evens
-    append_odd = con.odd.append
+    con = _Contraction(live, forced, branch, {}, {}, [], {})
+    moves, extra, odd, evens = con.moves, con.extra, con.odd, con.evens
     # Superedges are found in order: a chain is walked once, from its lower
     # end, and its last interior vertex is marked so that the other end
-    # skips it.
-    walked = n_tracked = 0
+    # skips it. The tracked ones, the first odd ones found, stay out of moves.
+    walked = 0
     rest = branch
     while rest:
         u_bit = rest & -rest
@@ -246,44 +244,31 @@ def _contract(adj: Sequence[int], live: int, forced: int) -> _Contraction:
                 if w_bit < u_bit:
                     continue
                 v = w_bit.bit_length() - 1
-                key = 1 << MAX_TRACKED_ODD
-                edge = (u, v, v, 1)
-                append_odd(edge)
-                if n_tracked < MAX_TRACKED_ODD:
-                    bits[edge] = bit = 1 << n_tracked
-                    key |= bit
-                    n_tracked += 1
-                moves_u[key] = moves_u.get(key, 0) | w_bit
-                moves_v = moves.setdefault(v, {})
-                moves_v[key] = moves_v.get(key, 0) | u_bit
+                odd.append((u, v, v, 1))
+                if len(odd) > MAX_TRACKED_ODD:
+                    moves_u[1] = moves_u.get(1, 0) | w_bit
+                    moves_v = moves.setdefault(v, {})
+                    moves_v[1] = moves_v.get(1, 0) | u_bit
                 continue
-            prev_bit, cur_bit, weight = u_bit, w_bit, 1
-            while not cur_bit & branch:
-                nxt = adj[cur_bit.bit_length() - 1] & live & ~prev_bit
-                prev_bit, cur_bit = cur_bit, nxt & -nxt
-                weight += 1
-            if cur_bit == u_bit:
-                nbrs &= ~prev_bit  # a chain from u back to u: no superedge
+            end, last, weight, _ = _walk(adj, live, branch, u_bit, w_bit)
+            if end == u_bit:
+                nbrs &= ~last  # a chain from u back to u: no superedge
                 continue
-            walked |= prev_bit
-            v = cur_bit.bit_length() - 1
-            key = weight << MAX_TRACKED_ODD
+            walked |= last
+            v = end.bit_length() - 1
             if not weight & 1:
                 evens[weight] = evens.get(weight, 0) + 1
             else:
-                edge = (u, w_bit.bit_length() - 1, v, weight)
-                append_odd(edge)
-                if n_tracked < MAX_TRACKED_ODD:
-                    bits[edge] = bit = 1 << n_tracked
-                    key |= bit
-                    n_tracked += 1
-            ends = moves_u.get(key, 0)
-            if ends & cur_bit:
-                extra[u, v, key] = extra.get((u, v, key), 0) + 1
+                odd.append((u, w_bit.bit_length() - 1, v, weight))
+                if len(odd) <= MAX_TRACKED_ODD:
+                    continue
+            ends = moves_u.get(weight, 0)
+            if ends & end:
+                extra[u, v, weight] = extra.get((u, v, weight), 0) + 1
                 continue
-            moves_u[key] = ends | cur_bit
+            moves_u[weight] = ends | end
             moves_v = moves.setdefault(v, {})
-            moves_v[key] = moves_v.get(key, 0) | u_bit
+            moves_v[weight] = moves_v.get(weight, 0) | u_bit
     return con
 
 
@@ -309,82 +294,71 @@ def _chains_through(
     """The superedges of the contraction (live, branch) that hold a vertex
     of `through`."""
     chains = set()
-    seen = 0  # vertices of the chains walked so far
+    seen = 0  # the inner vertices of the chains walked so far
     while through:
         v_bit = through & -through
         through ^= v_bit
         if v_bit & seen:
             continue
+        nbrs = adj[v_bit.bit_length() - 1] & live
+        if not v_bit & branch:
+            # v is inside a chain: walk to one of its ends, and then the
+            # chain from there
+            end, last, _, passed = _walk(adj, live, branch, v_bit, nbrs & -nbrs)
+            if end == v_bit:
+                seen |= passed | v_bit  # a cycle without branch vertices
+                continue
+            v_bit, nbrs = end, last
         v = v_bit.bit_length() - 1
-        nbrs = adj[v] & live
-        if v_bit & branch:
-            while nbrs:
-                w_bit = nbrs & -nbrs
-                nbrs ^= w_bit
-                if w_bit & seen:
-                    continue
-                end, last, weight, passed = _walk(adj, live, branch, v_bit, w_bit)
-                seen |= passed
-                if end == v_bit:
-                    continue  # a chain from v back to v: no superedge
-                if v_bit < end:
-                    chains.add((v, w_bit.bit_length() - 1, end.bit_length() - 1, weight))
-                else:
-                    chains.add((end.bit_length() - 1, last.bit_length() - 1, v, weight))
-            continue
-        # v is inside a chain: walk to both of its ends
-        a_bit = nbrs & -nbrs
-        end_a, last_a, weight_a, passed = _walk(adj, live, branch, v_bit, a_bit)
-        seen |= passed | v_bit
-        if end_a == v_bit:
-            continue  # a cycle without branch vertices
-        end_b, last_b, weight_b, passed = _walk(adj, live, branch, v_bit, nbrs ^ a_bit)
-        seen |= passed
-        if end_a == end_b:
-            continue
-        if end_a > end_b:
-            end_a, last_a, end_b = end_b, last_b, end_a
-        chains.add((
-            end_a.bit_length() - 1, last_a.bit_length() - 1,
-            end_b.bit_length() - 1, weight_a + weight_b,
-        ))
+        while nbrs:
+            w_bit = nbrs & -nbrs
+            nbrs ^= w_bit
+            if w_bit & seen:
+                continue
+            end, last, weight, passed = _walk(adj, live, branch, v_bit, w_bit)
+            seen |= passed
+            if end == v_bit:
+                continue  # a chain from v back to v: no superedge
+            if v_bit < end:
+                chains.add((v, w_bit.bit_length() - 1, end.bit_length() - 1, weight))
+            else:
+                chains.add((end.bit_length() - 1, last.bit_length() - 1, v, weight))
     return chains
 
 
 def _toggle(
-    con: _Contraction, owned: set[int], x: int, y: int, key: int, step: int
+    con: _Contraction, owned: set[int], x: int, y: int, weight: int, step: int
 ) -> None:
-    """Add (step 1) or remove (step -1) one superedge x < y moving under
-    `key` in con.moves.
+    """Add (step 1) or remove (step -1) one untracked superedge x < y of
+    this weight in con.moves.
 
     con may share moves dicts with the contraction it was patched from;
     `owned` holds the vertices whose dict is its own, and any other is
     copied before it changes.
     """
     moves = con.moves
-    if not key & TRACKED_BITS:
-        pair = (x, y, key)
-        more = con.extra.get(pair, 0)
-        if step > 0 and x in moves and moves[x].get(key, 0) >> y & 1:
-            con.extra[pair] = more + 1
-            return
-        if step < 0 and more:
-            if more > 1:
-                con.extra[pair] = more - 1
-            else:
-                del con.extra[pair]
-            return
+    pair = (x, y, weight)
+    more = con.extra.get(pair, 0)
+    if step > 0 and x in moves and moves[x].get(weight, 0) >> y & 1:
+        con.extra[pair] = more + 1
+        return
+    if step < 0 and more:
+        if more > 1:
+            con.extra[pair] = more - 1
+        else:
+            del con.extra[pair]
+        return
     for v, end in ((x, y), (y, x)):
         moves_v = moves.get(v)
         if moves_v is None or v not in owned:
             moves_v = moves[v] = dict(moves_v) if moves_v else {}
             owned.add(v)
         # the bit of `end` is clear when adding and set when removing
-        ends = moves_v.get(key, 0) ^ (1 << end)
+        ends = moves_v.get(weight, 0) ^ (1 << end)
         if ends:
-            moves_v[key] = ends
+            moves_v[weight] = ends
         else:
-            del moves_v[key]
+            del moves_v[weight]
             if not moves_v:
                 del moves[v]
 
@@ -413,21 +387,21 @@ def _patch(
         if (adj[v_bit.bit_length() - 1] & live).bit_count() != 2:
             branch |= v_bit
     # A chain without a vertex of `redo` is a superedge on both sides: its
-    # inside keeps its neighbours, its ends stay branch vertices.
+    # inside keeps its neighbours, its ends stay branch vertices. So the
+    # superedges of `gone` and `made` are the only ones that differ.
     redo = dirty & ~(old_branch & branch)
     gone = _chains_through(adj, old_live, old_branch, redo & old_live)
     made = _chains_through(adj, live, branch, redo & live)
     new = _Contraction(
         live, forced, branch, dict(con.moves), dict(con.extra),
-        list(con.odd), dict(con.bits), dict(con.evens),
+        list(con.odd), dict(con.evens),
     )
     owned: set[int] = set()
-    odd, bits, evens = new.odd, new.bits, new.evens
+    odd, evens = new.odd, new.evens
+    was = odd[:MAX_TRACKED_ODD]
     for edge in gone:
         x, _, y, weight = edge
-        bit = 0
         if weight & 1:
-            bit = bits.pop(edge, 0)
             del odd[bisect_left(odd, edge)]
         else:
             count = evens[weight] - 1
@@ -435,44 +409,26 @@ def _patch(
                 evens[weight] = count
             else:
                 del evens[weight]
-        _toggle(new, owned, x, y, weight << MAX_TRACKED_ODD | bit, -1)
+        if edge not in was:
+            _toggle(new, owned, x, y, weight, -1)
     for edge in made:
         weight = edge[3]
         if weight & 1:
             insort(odd, edge)
         else:
             evens[weight] = evens.get(weight, 0) + 1
-    # Hand the bits of the superedges no longer among the first
-    # MAX_TRACKED_ODD odd ones to those now among them. A superedge of
-    # `made` takes its bit when it is added below.
-    tracked = odd[:MAX_TRACKED_ODD]
-    if any(edge not in bits for edge in tracked):
-        for edge in [edge for edge in bits if edge not in tracked]:
-            _retrack(new, owned, edge, bits.pop(edge), 0, made)
-        free = [1 << i for i in range(MAX_TRACKED_ODD) if 1 << i not in bits.values()]
-        for edge in tracked:
-            if edge not in bits:
-                bits[edge] = free.pop(0)
-                _retrack(new, owned, edge, 0, bits[edge], made)
+    now = odd[:MAX_TRACKED_ODD]
+    if now != was:
+        # a kept superedge that stops being tracked goes into moves, and
+        # one that starts comes out
+        for edge in set(was).symmetric_difference(now) - gone - made:
+            x, _, y, weight = edge
+            _toggle(new, owned, x, y, weight, 1 if edge in was else -1)
     for edge in made:
-        x, _, y, weight = edge
-        _toggle(new, owned, x, y, weight << MAX_TRACKED_ODD | bits.get(edge, 0), 1)
+        if edge not in now:
+            x, _, y, weight = edge
+            _toggle(new, owned, x, y, weight, 1)
     return new
-
-
-def _retrack(
-    con: _Contraction,
-    owned: set[int],
-    edge: tuple[int, int, int, int],
-    was: int,
-    now: int,
-    made: set[tuple[int, int, int, int]],
-) -> None:
-    """Move a kept odd superedge from subset bit `was` to `now`."""
-    if edge not in made:
-        x, _, y, weight = edge
-        _toggle(con, owned, x, y, weight << MAX_TRACKED_ODD | was, -1)
-        _toggle(con, owned, x, y, weight << MAX_TRACKED_ODD | now, 1)
 
 
 def _patch_source(
@@ -522,25 +478,11 @@ def _sweep_feasible(
 ) -> bool:
     """The full test on the residual graph `live`, which holds start and
     anchor: is some walk weight in [lo, hi] achievable in its contraction?
+    (See the module docstring for what the sweep counts.)
 
     It builds the contraction from scratch with _contract, which is also
     where the contractions that the DFS keeps per depth and patches start
     (see _patch_source); the tests use it as their oracle.
-
-    Maximal chains of degree-2 vertices collapse into superedges carrying
-    their lengths. A simple path traverses any chain wholly or not at all,
-    so path lengths in the residual graph are exactly walk weights in the
-    contraction that use each odd superedge at most once and revisit no
-    chain. The state sweep relaxes "revisit no chain" for even superedges
-    only, which can only overestimate what is achievable, keeping the prune
-    sound. Only the first MAX_TRACKED_ODD odd superedges in (lower end,
-    first neighbour) order are tracked; the others flip parity but are
-    reusable.
-
-    The verdict so depends on the contraction through three facts only:
-    the superedges with their weights, which odd superedges are tracked,
-    and the gcd g of the even weights, which sets the residue modulus 2g
-    (2 when there is no even superedge or 2g > MAX_RESIDUE_MOD).
     """
     return _sweep(
         _contract(adj, live, (1 << start) | (1 << anchor)), start, anchor, lo, hi
@@ -548,7 +490,8 @@ def _sweep_feasible(
 
 
 def _sweep(con: _Contraction, start: int, anchor: int, lo: int, hi: int) -> bool:
-    """The state sweep of _sweep_feasible over the contraction con.
+    """The state sweep of _sweep_feasible over the contraction con, whose
+    tracked superedges and modulus are those of the module docstring.
 
     It computes the shortest distance d of every state (branch vertex,
     subset of tracked superedges used, d mod modulus) up to hi and accepts
@@ -561,8 +504,11 @@ def _sweep(con: _Contraction, start: int, anchor: int, lo: int, hi: int) -> bool
     vertices of a level held as one bitmask per subset.
     """
     moves = con.moves
-    if start not in moves:
-        return False
+    # tracked[v]: (weight, subset bit, other end) of v's tracked superedges
+    tracked: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (x, _, y, weight) in enumerate(con.odd[:MAX_TRACKED_ODD]):
+        tracked.setdefault(x, []).append((weight, 1 << i, 1 << y))
+        tracked.setdefault(y, []).append((weight, 1 << i, 1 << x))
     g = gcd(*con.evens)
     modulus = 2 * g if 0 < 2 * g <= MAX_RESIDUE_MOD else 2
     anchor_bit = 1 << anchor
@@ -588,14 +534,18 @@ def _sweep(con: _Contraction, start: int, anchor: int, lo: int, hi: int) -> bool
             while mask:
                 v_bit = mask & -mask
                 mask ^= v_bit
-                for key, ends in moves[v_bit.bit_length() - 1].items():
-                    nd = d + (key >> MAX_TRACKED_ODD)
-                    bit = key & TRACKED_BITS
-                    if nd > hi or subset & bit:
-                        continue
-                    level = levels[nd]
-                    nsubset = subset | bit
-                    level[nsubset] = level.get(nsubset, 0) | ends
+                v = v_bit.bit_length() - 1
+                if v in moves:
+                    for weight, ends in moves[v].items():
+                        nd = d + weight
+                        if nd <= hi:
+                            level = levels[nd]
+                            level[subset] = level.get(subset, 0) | ends
+                for weight, bit, end in tracked.get(v, ()):
+                    nd = d + weight
+                    if nd <= hi and not subset & bit:
+                        level = levels[nd]
+                        level[subset | bit] = level.get(subset | bit, 0) | end
     return False
 
 

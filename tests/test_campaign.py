@@ -103,6 +103,11 @@ def test_consecutive_holes_require_pair():
         {"ell": 4, "require_pair": 1},
     )
     assert not bad.clean
+    unasked = run_campaign(
+        "consecutive_holes", entries_of(Graph(4, cycle_graph(4))),
+        {"ell": 4, "require_pair": 0},
+    )
+    assert unasked.clean
 
 
 def test_budget_exhaustion_recorded_not_fatal():
@@ -162,6 +167,8 @@ def test_predicates_tuple_matches_registry():
         ("hole_mod_coverage", {"ell": 3, "requre": 1}),
         ("consecutive_holes", {"k": 1}),
         ("ternary_euler", {"ell": 3}),
+        ("consecutive_holes", {"require_pair": "false"}),
+        ("consecutive_holes", {"require_pair": 2}),
     ],
 )
 def test_params_are_read_before_any_entry(predicate, params):

@@ -354,6 +354,16 @@ MALFORMED = [
     pytest.param("verify hole_mod_coverage {ok} --param require=0,x", None, id="param-require"),
     pytest.param("verify consecutive_holes {ok} --param ell=x", None, id="param-pairs-ell"),
     pytest.param("verify kalai_balance {empty} --param k=x", None, id="param-k-empty"),
+    # require_pair is a flag of 0 or 1, not any truthy text
+    *(
+        pytest.param(
+            f"verify consecutive_holes {{{kind}}} --param ell=20 --param require_pair={value}",
+            None,
+            id=f"param-require-pair-{value}-{kind}",
+        )
+        for kind in ("ok", "empty")
+        for value in ("false", "no", "2")
+    ),
     pytest.param("verify hole_mod_coverage {empty} --param require=x", None, id="param-require-empty"),
     pytest.param("verify kalai_balance {empty} --param k=-1", None, id="param-k-range-empty"),
     pytest.param("verify hole_mod_coverage {empty} --param ell=0", None, id="param-ell-range-empty"),
@@ -391,6 +401,14 @@ MALFORMED = [
         )
         for drain in (3, 0)
     ),
+    # an option that only acts with another is refused without it
+    *(
+        pytest.param(f"holes {{{kind}}} --d {d}", None, id=f"holes-d-{d}-without-ell-{kind}")
+        for kind in ("ok", "empty")
+        for d in ("2", "-5")
+    ),
+    pytest.param("shower {ok} --root 0 --depth 3 --drain 3 --ell 3", None, id="shower-ell-without-jets"),
+    pytest.param("shower {ok} --root 0 --depth 3 --drain 3 --d 1", None, id="shower-d-without-jets"),
     pytest.param("holes {ok} --ell 0", None, id="holes-ell"),
     pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),
     pytest.param("holes {ok} --ell 3 --d -1", None, id="holes-d"),

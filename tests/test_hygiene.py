@@ -4,6 +4,8 @@ the private names that perfbench hooks into it."""
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import holelab
@@ -84,3 +86,53 @@ def test_perfbench_prune_hook_is_defined():
     ]
     assert len(hooks) == 1
     assert callable(getattr(_pycore, hooks[0], None))
+
+
+def public_functions(module) -> set[str]:
+    """The public functions a module defines or lists in __all__, and the
+    public methods of the public classes it defines."""
+    names = set(getattr(module, "__all__", ()))
+    for name, value in vars(module).items():
+        if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            names.add(name)
+        elif inspect.isclass(value):
+            names |= {m for m, f in vars(value).items() if not m.startswith("_") and inspect.isfunction(f)}
+    return names
+
+
+def test_perfbench_metrics_name_public_functions():
+    """Every span `metrics()` in perfbench's tracer reads by key,
+    "<layer>.<name>", names a public function of the layer's module (the
+    one MODULE_LAYERS maps to it, else holelab.<layer>), so a rename fails
+    here and not as a KeyError in a traced run. kernels.prune is the prune
+    hook, checked by the test above."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["MODULE_LAYERS"]
+    )
+    module_of = {layer: name for name, layer in layers.items()}
+    metrics = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "metrics"
+    )
+    keys = {
+        node.slice.value
+        for node in ast.walk(metrics)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "s"
+        and isinstance(node.slice, ast.Constant)
+    }
+    assert "invariants.chromatic_number" in keys and len(keys) > 10
+    missing = []
+    for key in sorted(keys - {"kernels.prune"}):
+        layer, name = key.split(".")
+        module = importlib.import_module(module_of.get(layer, f"holelab.{layer}"))
+        if name not in public_functions(module):
+            missing.append(key)
+    assert not missing, f"tracer metrics read spans of no public function: {missing}"

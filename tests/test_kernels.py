@@ -174,21 +174,13 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
 
 
 def contraction_facts(con):
-    """What the sweep's verdict reads from a contraction: the superedges
-    with their weights and multiplicities, which odd ones are tracked, and
-    the even weights that set the modulus. Subset bits are labels, so each
-    tracked bit is renamed after its superedge's place among the odd ones."""
-    tracked = con.odd[: _pycore.MAX_TRACKED_ODD]
+    """What the sweep reads from a contraction: its branch vertices, the
+    untracked superedges with their multiplicities, the odd superedges in
+    order (the first MAX_TRACKED_ODD tracked) and the even weights that
+    set the modulus. A vertex without untracked superedges may have an
+    empty moves dict or none."""
     assert sorted(con.odd) == con.odd
-    assert set(con.bits) == set(tracked)
-    assert len(set(con.bits.values())) == len(tracked)
-    rank = {con.bits[edge]: 1 << i for i, edge in enumerate(tracked)}
-    low = _pycore.TRACKED_BITS
-    moves = {
-        v: {key & ~low | rank.get(key & low, 0): ends for key, ends in moves_v.items()}
-        for v, moves_v in con.moves.items()
-        if moves_v
-    }
+    moves = {v: moves_v for v, moves_v in con.moves.items() if moves_v}
     return con.branch, moves, con.extra, con.odd, con.evens
 
 
