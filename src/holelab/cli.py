@@ -17,7 +17,7 @@ from .errors import BudgetExceededError, InputError
 from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
 from .graph import Graph
 from .holes import enumerate_holes, residue_coverage
-from .homology import betti_numbers, is_k_balanced
+from .homology import EXHAUSTIVE_SUBSETS, betti_numbers, is_k_balanced
 from .invariants import _chromatic_with_clique, chi_rho, clique_number
 from .io import FORMATS, encode_graph6, parse_corpus, write_json
 from .structures import (
@@ -170,6 +170,10 @@ GADGET_PARAMS = {
 
 
 def _cmd_gadget(args) -> int:
+    if args.format == "dimacs":
+        raise InputError("gadget writes graph6 or edgelist, not dimacs")
+    if args.json_out:
+        raise InputError("gadget writes no JSON; use --out for its graph")
     want = GADGET_PARAMS[args.kind]
     if len(args.params) != want:
         raise InputError(
@@ -268,14 +272,24 @@ def _read_witness(path: str) -> dict[str, Any]:
 def _cmd_structures(args) -> int:
     mc = Multicover(host=_entry_graph(args), **_read_witness(args.witness))
     mc.host.check_set(mc.ground_set())  # a vertex out of range is an input error
-    report = verify_multicover(mc, stable=args.stable)
+    budget_error = None
+    try:
+        report = verify_multicover(
+            mc, stable=args.stable, budget=Budget(args.budget_nodes)
+        )
+    except BudgetExceededError as exc:
+        report, budget_error = exc.partial, str(exc)
     row = {
         "valid": report.valid,
         "failures": list(report.failures),
         "cover_clique_number": report.cover_clique_number,
     }
+    if budget_error is not None:
+        row["budget_error"] = budget_error
     write_json(row, args.json_out)
-    return EXIT_CLEAN if report.valid else EXIT_COUNTEREXAMPLE
+    if not report.valid:
+        return EXIT_COUNTEREXAMPLE
+    return EXIT_CLEAN if budget_error is None else EXIT_BUDGET
 
 
 def _cmd_verify(args) -> int:
@@ -341,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("balance", help="k-balancedness verdicts")
     p.add_argument("corpus")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--subgraph-budget", type=int, default=1 << 20)
+    p.add_argument("--subgraph-budget", type=int, default=EXHAUSTIVE_SUBSETS)
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("gadget", help="emit a generated graph")

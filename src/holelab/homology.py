@@ -69,6 +69,9 @@ BITS_PER_NODE = 160
 # products save, and on sparse graphs of 40 to 60 vertices it cuts the memo
 # by a factor of 8 to over 10^4
 SPLIT_ABOVE = 7
+# is_k_balanced's default subgraph budget: graphs on at most 20 vertices get
+# the exhaustive check, larger ones a sampled one
+EXHAUSTIVE_SUBSETS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -399,7 +402,7 @@ def _signed_counts(g: Graph) -> list[int]:
 def is_k_balanced(
     g: Graph,
     k: int,
-    subgraph_budget: int = 1 << 20,
+    subgraph_budget: int = EXHAUSTIVE_SUBSETS,
     seed: int = 0,
     budget: Budget | None = None,
 ) -> BalanceVerdict:

@@ -8,22 +8,9 @@ vertex index so witnesses are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError
 from .graph import Graph, bits
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Exact invariant bundle for one graph."""
-
-    omega: int
-    chi: int
-    chi_rho: dict[int, int] = field(default_factory=dict)
-    clique_witness: frozenset[int] = frozenset()
-    coloring_witness: tuple[int, ...] = ()
 
 
 def clique_number(g: Graph, budget: Budget | None = None) -> tuple[int, frozenset[int]]:
@@ -277,19 +264,3 @@ def chi_rho(
         ) from exc
     return best
 
-
-def invariant_report(
-    g: Graph, radii: tuple[int, ...] = (), budget: Budget | None = None
-) -> InvariantReport:
-    """Compute the full invariant bundle in one pass."""
-    budget = ensure_budget(budget)
-    omega, clique = clique_number(g, budget)
-    chi, coloring = _chromatic_with_clique(g, clique, budget)
-    rho_values = {rho: chi_rho(g, rho, budget, chi=chi) for rho in radii}
-    return InvariantReport(
-        omega=omega,
-        chi=chi,
-        chi_rho=rho_values,
-        clique_witness=clique,
-        coloring_witness=coloring,
-    )

@@ -190,11 +190,9 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
         if line.strip()
     ]
     if format == "graph6":
-        for idx, (lineno, line) in enumerate(lines):
-            if line.startswith(">>graph6<<"):
-                line = line[len(">>graph6<<") :]
-                if not line:
-                    continue
+        # a bare header line holds no graph and takes no entry id
+        bodies = [(n, line.removeprefix(">>graph6<<")) for n, line in lines]
+        for idx, (lineno, line) in enumerate((n, b) for n, b in bodies if b):
             try:
                 yield CorpusEntry(idx, decode_graph6(line), "graph6")
             except InputError as exc:

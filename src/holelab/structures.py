@@ -38,10 +38,7 @@ class Multicover:
         return len(self.X)
 
     def family_union(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for n in self.families.values():
-            out |= n
-        return out
+        return frozenset().union(*self.families.values())
 
     def ground_set(self) -> frozenset[int]:
         return self.X | self.family_union() | self.C
@@ -83,10 +80,7 @@ class Grading:
     parts: tuple[frozenset[int], ...]
 
     def ground_set(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for w in self.parts:
-            out |= w
-        return out
+        return frozenset().union(*self.parts)
 
     def part_of(self, v: int) -> int | None:
         for i, w in enumerate(self.parts):
@@ -113,10 +107,7 @@ class Shower:
         return h
 
     def vertex_set(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for layer in self.layers:
-            out |= layer
-        return out
+        return frozenset().union(*self.layers)
 
     def floor(self) -> frozenset[int]:
         """Vertices of the last layer with a neighbor in the layer above."""
@@ -142,15 +133,11 @@ class RefinementBudget:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of a structure verifier: axioms checked, first failure kept."""
+    """Outcome of a structure verifier: every violated axiom, in order."""
 
     valid: bool
     failures: tuple[str, ...] = ()
     cover_clique_number: int | None = None
-
-    @property
-    def first_failure(self) -> str | None:
-        return self.failures[0] if self.failures else None
 
 
 @dataclass(frozen=True)
@@ -169,7 +156,6 @@ class JetSummary:
     """Residue summary of a shower's d-jetset."""
 
     modulus: int
-    d: int
     lengths: frozenset[int]
     residues: frozenset[int]
     completeness: int  # largest t with the jetset (t, ell)-complete; 0 if none
@@ -204,7 +190,9 @@ def verify_multicover(
     """Check every multicover axiom; optionally stability and a crest.
 
     Reports the cover clique number (clique number of the subgraph induced
-    on the union of the families) whenever the axioms allow computing it.
+    on the union of the families) whenever every vertex is in range. When
+    the budget runs out during that search, raises BudgetExceededError
+    whose partial is the report without it.
     """
     g = mc.host
     failures: list[str] = []
@@ -243,13 +231,16 @@ def verify_multicover(
                 failures.append(f"family of apex {x} is not stable")
     if crest is not None:
         failures.extend(_crest_failures(mc, crest))
-    union = mc.family_union()
-    ccn: int | None = None
+    sub, _ = g.induced_subgraph(mc.family_union())
     try:
-        sub, _ = g.induced_subgraph(union)
         ccn, _ = clique_number(sub, budget)
-    except (InputError, BudgetExceededError):
-        pass
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            str(exc),
+            lower=exc.lower,
+            upper=exc.upper,
+            partial=VerificationReport(not failures, tuple(failures)),
+        ) from exc
     return VerificationReport(not failures, tuple(failures), ccn)
 
 
@@ -351,12 +342,15 @@ def refine_multicover(
 ) -> list[RefinementRound]:
     """Greedy chromatic refinement of a multicover, one round per apex.
 
-    Round 1 picks an inclusion-minimal A_1 within the first family whose
-    C-neighborhood f(A_1) exceeds the round's threshold; later rounds pick a
-    minimal A_i pushing one side of the previous (C, D) split above the
-    threshold, preferring the C side. Each round's postcondition — every
-    A_h covers one of (C_i, D_i) and is anticomplete to the other — is
-    verified by direct scan before the round is accepted.
+    The split starts as (C_0, D_0) = (C, C). Round i picks an
+    inclusion-minimal A_i within its apex's family whose C-neighborhood
+    f(A_i) pushes one side of the previous split above the round's
+    threshold, preferring the C side: then C_i = f(A_i) & C_{i-1} and
+    D_i = D_{i-1} - f(A_i), and the other way round for the D side. The D
+    side is not tried while it equals C, so round 1 gives C_1 = f(A_1) and
+    D_1 = C - f(A_1). Each round's postcondition — every A_h covers one of
+    (C_i, D_i) and is anticomplete to the other — is verified by direct
+    scan before the round is accepted.
     """
     if len(budget.thresholds) != mc.length:
         raise InputError("need exactly one threshold per apex")
@@ -368,9 +362,8 @@ def refine_multicover(
         am = mask_of(a)
         return frozenset(v for v in mc.C if g.adjacency_mask(v) & am)
 
-    def minimal(n_x: frozenset[int], holds) -> frozenset[int] | None:
-        if not holds(n_x):
-            return None
+    def minimal(n_x: frozenset[int], holds) -> frozenset[int]:
+        """An inclusion-minimal subset of n_x that holds, given that n_x does."""
         a = set(n_x)
         for v in sorted(n_x):
             trial = frozenset(a - {v})
@@ -379,40 +372,28 @@ def refine_multicover(
         return frozenset(a)
 
     rounds: list[RefinementRound] = []
-    cur_c: frozenset[int] = mc.C
-    cur_d: frozenset[int] | None = None
+    cur_c = cur_d = mc.C
     for idx, (x, c_i) in enumerate(zip(xs, budget.thresholds), start=1):
         n_x = mc.families[x]
-        if idx == 1:
-            a = minimal(n_x, lambda s: _chromatic_exceeds(g, f(s), c_i, node_budget))
-            if a is None:
-                raise RefinementError(1, "threshold unreachable at round 1")
-            new_c = f(a)
-            new_d = mc.C - new_c
+
+        def c_side(s: frozenset[int]) -> bool:
+            return _chromatic_exceeds(g, f(s) & cur_c, c_i, node_budget)
+
+        def d_side(s: frozenset[int]) -> bool:
+            return _chromatic_exceeds(g, f(s) & cur_d, c_i, node_budget)
+
+        if c_side(n_x):
+            a = minimal(n_x, c_side)
+            new_c = f(a) & cur_c
+            new_d = cur_d - f(a)
             side = "C"
+        elif cur_d != cur_c and d_side(n_x):
+            a = minimal(n_x, d_side)
+            new_d = f(a) & cur_d
+            new_c = cur_c - f(a)
+            side = "D"
         else:
-            assert cur_d is not None
-
-            def c_side(s: frozenset[int]) -> bool:
-                return _chromatic_exceeds(g, f(s) & cur_c, c_i, node_budget)
-
-            def d_side(s: frozenset[int]) -> bool:
-                return _chromatic_exceeds(g, f(s) & cur_d, c_i, node_budget)
-
-            if c_side(n_x):
-                a = minimal(n_x, c_side)
-                new_c = f(a) & cur_c
-                new_d = cur_d - f(a)
-                side = "C"
-            elif d_side(n_x):
-                a = minimal(n_x, d_side)
-                new_d = f(a) & cur_d
-                new_c = cur_c - f(a)
-                side = "D"
-            else:
-                raise RefinementError(
-                    idx, f"threshold unreachable at round {idx}"
-                )
+            raise RefinementError(idx, f"threshold unreachable at round {idx}")
         rounds.append(RefinementRound(x, a, new_c, new_d, side))
         # postcondition: every A_h so far covers one side, anticomplete to
         # the other
@@ -512,26 +493,27 @@ def earliest_parent(g: Graph, b_enum: Sequence[int], v: int) -> int:
     raise InputError(f"vertex {v} has no neighbor in the enumeration")
 
 
-def _check_enum_covers(g: Graph, b_enum: Sequence[int], c: frozenset[int]) -> None:
+def _parent_index(g: Graph, b_enum: Sequence[int], c: frozenset[int]) -> dict[int, int]:
+    """Each vertex of c -> the position in b_enum of its earliest parent.
+
+    The enumeration must have no repeated vertex and cover c.
+    """
     if len(set(b_enum)) != len(b_enum):
         raise InputError("enumeration has repeated vertices")
     if not g.covers(frozenset(b_enum), c):
         raise InputError("the enumeration does not cover the target set")
+    position = {b: i for i, b in enumerate(b_enum)}
+    return {v: position[earliest_parent(g, b_enum, v)] for v in c}
 
 
 def grading_from_cover(
     g: Graph, b_enum: Sequence[int], C: Iterable[int]
 ) -> Grading:
     """Grade C by earliest parent: W_i holds the vertices adopted by b_i."""
-    c = g.check_set(C)
-    _check_enum_covers(g, b_enum, c)
-    parts = []
-    remaining = set(c)
-    for b in b_enum:
-        w = frozenset(v for v in remaining if g.has_edge(b, v))
-        remaining -= w
-        parts.append(w)
-    return Grading(host=g, parts=tuple(parts))
+    parts: list[set[int]] = [set() for _ in b_enum]
+    for v, i in _parent_index(g, b_enum, g.check_set(C)).items():
+        parts[i].add(v)
+    return Grading(host=g, parts=tuple(map(frozenset, parts)))
 
 
 def square_edges(
@@ -539,34 +521,30 @@ def square_edges(
 ) -> list[tuple[int, int]]:
     """Edges of G[C] whose endpoints' earliest parents miss the other end."""
     c = g.check_set(C)
-    _check_enum_covers(g, b_enum, c)
+    parent = {v: b_enum[i] for v, i in _parent_index(g, b_enum, c).items()}
+    c_mask = mask_of(c)
     out = []
     for u in sorted(c):
-        for v in sorted(c):
-            if v <= u or not g.has_edge(u, v):
-                continue
-            if not g.has_edge(earliest_parent(g, b_enum, u), v) and not g.has_edge(
-                earliest_parent(g, b_enum, v), u
-            ):
+        for v in bits(g.adjacency_mask(u) & c_mask & ~((2 << u) - 1)):
+            if not g.has_edge(parent[u], v) and not g.has_edge(parent[v], u):
                 out.append((u, v))
     return out
 
 
 def is_compatible(b_enum: Sequence[int], grading: Grading) -> bool:
-    """Does earlier-in-grading force a strictly earlier earliest parent?"""
-    g = grading.host
-    ground = grading.ground_set()
-    _check_enum_covers(g, b_enum, ground)
-    rank = {b: i for i, b in enumerate(b_enum)}
-    for i in range(len(grading.parts)):
-        for j in range(i + 1, len(grading.parts)):
-            for u in grading.parts[i]:
-                for v in grading.parts[j]:
-                    if (
-                        rank[earliest_parent(g, b_enum, u)]
-                        >= rank[earliest_parent(g, b_enum, v)]
-                    ):
-                        return False
+    """Does earlier-in-grading force a strictly earlier earliest parent?
+
+    It does when each nonempty part's lowest parent position exceeds the
+    highest of every earlier part.
+    """
+    index = _parent_index(grading.host, b_enum, grading.ground_set())
+    highest = -1
+    for part in grading.parts:
+        if part:
+            positions = [index[v] for v in part]
+            if min(positions) <= highest:
+                return False
+            highest = max(positions)
     return True
 
 
@@ -654,7 +632,7 @@ def enumerate_jets(
     g = s.host
     report, floor = verify_shower(s)
     if not report.valid:
-        raise InputError(f"invalid shower: {report.first_failure}")
+        raise InputError(f"invalid shower: {report.failures[0]}")
     allowed = mask_of(s.vertex_set())
     jets = sorted(
         _simple_induced_paths(g, s.head, s.drain, allowed, max_len, budget)
@@ -670,7 +648,6 @@ def enumerate_jets(
         residues = frozenset(l % ell for l in lengths)
         summary = JetSummary(
             modulus=ell,
-            d=d if d is not None else -1,
             lengths=frozenset(lengths),
             residues=residues,
             completeness=_longest_cyclic_run(residues, ell),

@@ -134,18 +134,22 @@ def test_report_serialization_is_deterministic(tmp_path):
     assert json.loads(pa.read_text())["elapsed_seconds"] is not None
 
 
-def test_campaign_seed_reaches_balance_check(monkeypatch):
-    seeds = []
+def test_kalai_balance_skips_a_graph_too_large_for_exhaustion(monkeypatch):
+    """An entry on more than 20 vertices is skipped before any search: a
+    sampled balance check could not settle the predicate."""
+    sizes = []
 
     def recording(g, k, subgraph_budget=1 << 20, seed=0, budget=None):
-        seeds.append(seed)
+        sizes.append(g.n)
         return is_k_balanced(g, k, subgraph_budget, seed, budget)
 
     monkeypatch.setattr(campaign, "is_k_balanced", recording)
-    corpus = entries_of(complete_graph(3), Graph(4, cycle_graph(4)))
-    report = run_campaign("kalai_balance", corpus, {"k": 1}, seed=7)
-    assert seeds == [7, 7, 7]  # the null-graph probe of the parameters, then each entry
-    assert report_as_dict(report)["seed"] == 7
+    corpus = entries_of(Graph(21, cycle_graph(21)), Graph(4, cycle_graph(4)))
+    out = report_as_dict(run_campaign("kalai_balance", corpus, {"k": 1}, seed=7))
+    assert sizes == [0, 4]  # the null-graph probe of the parameters, then C4
+    assert out["verdicts"][0]["detail"] == {"skipped": "balance check not exhaustive"}
+    assert out["verdicts"][1]["detail"]["balanced"] is True
+    assert out["seed"] == 7
 
 
 def test_predicates_tuple_matches_registry():

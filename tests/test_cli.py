@@ -171,6 +171,12 @@ def test_gadget_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines() == ["0 1", "0 2", "1 2"]
     assert main(["gadget", "multicover", "2", "2", "2"]) == EXIT_CLEAN
     assert main(["gadget", "crest", "1", "2", "2", "2"]) == EXIT_CLEAN
+    # the graph goes to stdout or --out only, as graph6 or an edge list
+    capsys.readouterr()
+    json_out = tmp_path / "g.json"
+    assert main(["--json-out", str(json_out), "gadget", "cycle", "5"]) == EXIT_INPUT_ERROR
+    assert main(["--format", "dimacs", "gadget", "cycle", "5"]) == EXIT_INPUT_ERROR
+    assert not json_out.exists() and capsys.readouterr().out == ""
 
 
 def test_shower_command(corpus, tmp_path):
@@ -196,6 +202,16 @@ def test_shower_command(corpus, tmp_path):
     ]
     assert main(argv) == EXIT_CLEAN
     assert json.loads(out.read_text())["jets"] == []
+    c8 = ["--json-out", str(out), "shower", corpus(Graph(8, cycle_graph(8))), "--root", "0"]
+    # no shower: vertex 3 of C8 is not at distance 2 from 0
+    assert main(c8 + ["--depth", "2", "--drain", "3"]) == EXIT_CLEAN
+    assert json.loads(out.read_text()) == {"shower": None}
+    # a jet search out of budget keeps the shower and names the error
+    jets = ["--depth", "3", "--drain", "3", "--jets", "5"]
+    assert main(["--budget-nodes", "1"] + c8 + jets) == EXIT_BUDGET
+    row = json.loads(out.read_text())
+    assert row["valid"] is True and "jets" not in row
+    assert row["budget_error"]
 
 
 def test_structures_command(corpus, tmp_path):
@@ -231,6 +247,20 @@ def test_structures_command(corpus, tmp_path):
         ["--json-out", str(out), "structures", corpus(g), "--witness", str(witness)]
     )
     assert code == EXIT_COUNTEREXAMPLE
+    # --budget-nodes bounds the cover clique search: an invalid witness still
+    # exits 1, a valid one 3, and both rows keep the axioms' verdict
+    for families, code in (({"0": [2], "1": [4, 5]}, EXIT_COUNTEREXAMPLE), (None, EXIT_BUDGET)):
+        families = families or {str(k): sorted(v) for k, v in mc.families.items()}
+        witness.write_text(
+            json.dumps({"X": sorted(mc.X), "families": families, "C": sorted(mc.C)})
+        )
+        argv = ["--json-out", str(out), "--budget-nodes", "0", "structures", corpus(g)]
+        assert main(argv + ["--witness", str(witness)]) == code
+        row = json.loads(out.read_text())
+        assert row["valid"] is (code == EXIT_BUDGET)
+        assert bool(row["failures"]) is (code == EXIT_COUNTEREXAMPLE)
+        assert row["cover_clique_number"] is None
+        assert row["budget_error"] == "clique search budget exceeded"
 
 
 def test_verify_command(corpus, tmp_path):
@@ -445,6 +475,8 @@ MALFORMED = [
     ),
     pytest.param("--budget-nodes -1 gadget cycle 5", None, id="budget-nodes-gadget"),
     pytest.param("gadget kneser 5", None, id="gadget-arity"),
+    pytest.param("--format dimacs gadget cycle 5", None, id="gadget-format-dimacs"),
+    pytest.param("--json-out {missing} gadget cycle 5", None, id="gadget-json-out"),
     pytest.param("gadget cycle 2", None, id="gadget-value"),
     pytest.param("--budget-nodes -1 holes {ok}", None, id="budget-nodes"),
 ]

@@ -131,6 +131,23 @@ def test_balance_sampled_mode_flags_non_exhaustive():
         assert not full.balanced
 
 
+def test_sampled_balance_violations_are_definite():
+    """On K12 with k = 1 every set of three or more vertices violates. A
+    subgraph budget of 596 checks sizes up to 3 in full, and finds the
+    violation there; one of 26 checks sizes up to 1 only, and finds it among
+    the random subsets. Either witness is a real violation."""
+    g = complete_graph(12)
+    for subgraph_budget, size in ((596, 3), (26, None)):
+        v = is_k_balanced(g, 1, subgraph_budget=subgraph_budget, seed=1)
+        assert not v.exhaustive and not v.balanced
+        if size is not None:
+            assert v.violation == frozenset(range(size))
+        assert len(v.violation) >= 3
+        sub, _ = g.induced_subgraph(v.violation)
+        even, odd = oracle_parity(sub)
+        assert v.imbalance == abs(even - odd) > 1
+
+
 def test_budget_propagates():
     with pytest.raises(BudgetExceededError):
         independence_parity(Graph(8, cycle_graph(8)), Budget(2))

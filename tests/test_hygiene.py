@@ -73,6 +73,82 @@ def test_the_check_sees_an_unused_import():
     assert [n for n in imported_names(tree) if n not in used] == ["Any"]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private names a module binds at its top level by def, class or
+    assignment, with their line numbers; dunder names are not private."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name a file reads: loaded names, attributes, names imported
+    from a module, and string constants (a name handed to getattr)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def orphans(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
+    """The private names of each module that no reader reads."""
+    read = set().union(*map(read_names, readers))
+    return [
+        f"{path}:{line}: {name}"
+        for path, tree in modules.items()
+        for name, line in private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_no_orphaned_private_names():
+    """Every module-level private name in the package is read somewhere in
+    the package, its tests or perfbench, so a refactor that leaves a helper
+    behind fails here."""
+    root = PACKAGE.parents[1]
+
+    def parse(path: Path) -> ast.Module:
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    modules = {str(p.relative_to(root)): parse(p) for p in sorted(PACKAGE.rglob("*.py"))}
+    readers = [
+        parse(p) for d in ("tests", "perfbench") for p in sorted((root / d).rglob("*.py"))
+    ]
+    found = orphans(modules, [*modules.values(), *readers])
+    assert not found, "private names read nowhere:\n" + "\n".join(found)
+
+
+def test_the_check_sees_an_orphaned_private_name():
+    module = ast.parse(
+        "_LIMIT = 3\n_hook = None\n__all__ = []\n"
+        "def _used(x):\n    return x < _LIMIT\n"
+        "def _orphan(x):\n    return _used(x)\n"
+        "class _Gone:\n    pass\n"
+    )
+    reader = ast.parse("import m\nm._used(1)\ngetattr(m, '_hook')\n")
+    assert orphans({"m.py": module}, [module, reader]) == [
+        "m.py:6: _orphan",
+        "m.py:8: _Gone",
+    ]
+
+
 def test_perfbench_prune_hook_is_defined():
     """perfbench's tracer wraps the pure kernel's prune by the name in its
     PRUNE_HOOK, and skips it silently when the kernel has no such name; a

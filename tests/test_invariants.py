@@ -18,7 +18,6 @@ from holelab.invariants import (
     chi_rho,
     chromatic_number,
     clique_number,
-    invariant_report,
 )
 
 from conftest import (
@@ -89,14 +88,6 @@ def test_chi_rho_monotone_in_radius():
         assert values == sorted(values)
         chi, _ = chromatic_number(g)
         assert values[-1] <= chi
-
-
-def test_invariant_report_bundle():
-    rep = invariant_report(petersen_graph(), radii=(1, 2))
-    assert rep.omega == 2
-    assert rep.chi == 3
-    assert rep.chi_rho == {1: 2, 2: 3}
-    assert petersen_graph().is_clique(rep.clique_witness)
 
 
 def test_budget_carries_bracketing_bounds():

@@ -113,6 +113,20 @@ def test_parse_corpus_graph6(tmp_path):
     assert all(e.source_format == "graph6" for e in entries)
 
 
+def test_a_bare_graph6_header_takes_no_entry_id(tmp_path, capsys):
+    path = tmp_path / "h.g6"
+    path.write_text(">>graph6<<\nDhc\n>>graph6<<Dhc\n")
+    assert [e.id for e in parse_corpus(str(path), "graph6")] == [0, 1]
+    shower = ["shower", str(path), "--root", "0", "--depth", "1", "--drain", "1"]
+    assert holelab.cli.main(shower + ["--entry", "1"]) == holelab.cli.EXIT_CLEAN
+    assert holelab.cli.main(shower + ["--entry", "2"]) == holelab.cli.EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: corpus has no entry 2\n"
+    # a malformed line after a bare header is named by its own line number
+    path.write_text(">>graph6<<\nDhc\nCx~~~\n")
+    with pytest.raises(InputError, match="line 3"):
+        list(parse_corpus(str(path), "graph6"))
+
+
 def test_parse_corpus_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("Dhc\nCx~~~\n")

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+from holelab import structures
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, ChordError, InputError, RefinementError
 from holelab.gadgets import crest_gadget, multicover_gadget
 from holelab.graph import Graph, mask_of
+from holelab.invariants import _chromatic_exceeds
 from holelab.structures import (
+    Grading,
     Multicover,
     Oddity,
     RefinementBudget,
+    RefinementRound,
     Shower,
     bloodline,
     close_hole,
@@ -28,7 +32,7 @@ from holelab.structures import (
     _simple_induced_paths,
 )
 
-from conftest import cycle_graph, random_graph
+from conftest import cycle_graph, oracle_chromatic_number, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,40 @@ def test_crest_axiom_failures():
     assert any("neighbor in the ground set" in f for f in report.failures)
 
 
+def test_crest_subdivision_axiom_failures():
+    """One edge of the crest gadget added or removed breaks one subdivision
+    axiom each, and is reported by it alone."""
+    _, base_mc = multicover_gadget(2, 2, 2)
+    big, mc, crest = crest_gadget(2, base_mc)
+    sub = crest.subdivisions
+    a1, a2 = crest.apexes
+    x, y = sorted(mc.X)
+
+    def failures(drop=None, add=None):
+        edges = [e for e in big.edges() if set(e) != set(drop or ())]
+        host = Graph(big.n, edges + ([add] if add else []))
+        mc_bad = Multicover(host=host, X=mc.X, families=mc.families, C=mc.C)
+        return verify_multicover(mc_bad, crest=crest).failures
+
+    assert failures() == ()
+    assert failures(drop=(sub[0, x], x)) == (
+        f"subdivision vertex for (a_1, {x}) misses {x}",
+    )
+    assert failures(add=(sub[0, x], min(mc.families[x]))) == (
+        f"subdivision vertex for (a_1, {x}) touches the ground set beyond its own apex",
+    )
+    assert failures(drop=(sub[0, x], a1)) == (
+        f"subdivision vertex for (a_1, {x}) misses a_1",
+    )
+    assert failures(add=(sub[0, x], a2)) == (
+        f"subdivision vertex for (a_1, {x}) touches a_2",
+    )
+    assert failures(add=(sub[0, x], sub[1, y])) == (
+        f"subdivision vertices over distinct apexes ({x}, {y}) are adjacent",
+        f"subdivision vertices over distinct apexes ({y}, {x}) are adjacent",
+    )
+
+
 # ---------------------------------------------------------------------------
 # oddities
 
@@ -231,6 +269,115 @@ def test_refinement_budget_validation():
         refine_multicover(mc, RefinementBudget((0,)))  # wrong arity
 
 
+def reference_refine(mc, budget, exceeds):
+    """The refinement as it stood with a separate round-1 branch, a D side
+    set only from round 2 and a minimal() that re-tests the whole family;
+    exceeds(g, vertices, t) answers "is chi(G[vertices]) > t?"."""
+    g = mc.host
+    xs = sorted(mc.X)
+
+    def f(a):
+        am = mask_of(a)
+        return frozenset(v for v in mc.C if g.adjacency_mask(v) & am)
+
+    def minimal(n_x, holds):
+        if not holds(n_x):
+            return None
+        a = set(n_x)
+        for v in sorted(n_x):
+            if holds(frozenset(a - {v})):
+                a.discard(v)
+        return frozenset(a)
+
+    rounds = []
+    cur_c, cur_d = mc.C, None
+    for idx, (x, c_i) in enumerate(zip(xs, budget.thresholds), start=1):
+        n_x = mc.families[x]
+        if idx == 1:
+            a = minimal(n_x, lambda s: exceeds(g, f(s), c_i))
+            if a is None:
+                raise RefinementError(1, "threshold unreachable at round 1")
+            new_c, new_d, side = f(a), mc.C - f(a), "C"
+        else:
+            def c_side(s):
+                return exceeds(g, f(s) & cur_c, c_i)
+
+            def d_side(s):
+                return exceeds(g, f(s) & cur_d, c_i)
+
+            if c_side(n_x):
+                a = minimal(n_x, c_side)
+                new_c, new_d, side = f(a) & cur_c, cur_d - f(a), "C"
+            elif d_side(n_x):
+                a = minimal(n_x, d_side)
+                new_c, new_d, side = cur_c - f(a), f(a) & cur_d, "D"
+            else:
+                raise RefinementError(idx, f"threshold unreachable at round {idx}")
+        rounds.append(RefinementRound(x, a, new_c, new_d, side))
+        for r in rounds:
+            covered = new_c if g.covers(r.A, new_c) else None
+            if covered is None and g.covers(r.A, new_d):
+                covered = new_d
+            other = new_d if covered is new_c else new_c
+            if covered is None or not g.is_anticomplete(r.A, other):
+                raise RefinementError(
+                    idx, f"round {idx} postcondition failed for apex {r.apex}"
+                )
+        cur_c, cur_d = new_c, new_d
+    return rounds
+
+
+def random_refinement_input(rng):
+    """A multicover gadget with random edges inside C and between the
+    families and C, and a threshold of 0, 1 or 2 per apex."""
+    g, mc = multicover_gadget(rng.randint(2, 4), rng.randint(1, 4), rng.randint(3, 9))
+    cs, fam = sorted(mc.C), sorted(mc.family_union())
+    p = rng.uniform(0.2, 0.8)
+    extra = [(u, v) for i, u in enumerate(cs) for v in cs[i + 1:] if rng.random() < p]
+    extra += [(u, v) for u in fam for v in cs if rng.random() < 0.15]
+    host = Graph(g.n, list(g.edges()) + extra)
+    thresholds = tuple(rng.choice((0, 1, 1, 2)) for _ in mc.X)
+    return Multicover(host, mc.X, mc.families, mc.C), RefinementBudget(thresholds)
+
+
+def test_refinement_matches_the_reference_with_no_more_chromatic_tests(monkeypatch):
+    """Rounds (apex, A, C, D, side) and errors (round, text) are those of
+    the reference on 400 random multicovers, D-side rounds and later-round
+    errors among them, and no input takes more chi tests."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return _chromatic_exceeds(*args)
+
+    def outcome(run):
+        calls[0] = 0
+        try:
+            result = run(), None
+        except RefinementError as exc:
+            result = None, (exc.round_index, str(exc))
+        return result, calls[0]
+
+    monkeypatch.setattr(structures, "_chromatic_exceeds", counting)
+    rng = random.Random(0)
+    d_rounds = fewer = 0
+    error_at_round_1 = error_later = False
+    for _ in range(400):
+        mc, budget = random_refinement_input(rng)
+        want, want_calls = outcome(lambda: reference_refine(mc, budget, counting))
+        got, got_calls = outcome(lambda: refine_multicover(mc, budget))
+        assert got == want, (mc, budget)
+        assert got_calls <= want_calls
+        fewer += got_calls < want_calls
+        rounds, error = want
+        if error is None:
+            d_rounds += sum(r.covered_side == "D" for r in rounds)
+        else:
+            error_at_round_1 |= error[0] == 1
+            error_later |= error[0] > 1
+    assert d_rounds >= 20 and error_at_round_1 and error_later and fewer >= 200
+
+
 # ---------------------------------------------------------------------------
 # gradings and square edges
 
@@ -279,6 +426,78 @@ def test_is_compatible():
         host=g3, parts=(grading3.parts[1], grading3.parts[0])
     )
     assert not is_compatible([0, 1], flipped)
+
+
+def test_gradings_match_their_per_pair_definitions():
+    """On random covers: W_i holds the vertices whose first neighbor in the
+    enumeration is b_i; an edge uv of G[C] is square when neither earliest
+    parent sees the other end; a grading is compatible when u in an earlier
+    part than v always has an earlier earliest parent. Shuffled and random
+    gradings give incompatible cases too, and an enumeration that misses a
+    vertex or repeats one is refused."""
+    rng = random.Random(11)
+    verdicts = set()
+    refused = set()
+    compared = 0
+    for _ in range(250):
+        g = random_graph(rng, rng.randint(3, 11), rng.uniform(0.2, 0.7))
+        vertices = list(g.vertices())
+        rng.shuffle(vertices)
+        cut = rng.randint(1, g.n - 1)
+        b_enum, c = vertices[:cut], frozenset(vertices[cut:])
+        b_mask = mask_of(b_enum)
+        # a parent for most vertices that have none
+        adopted = [
+            (rng.choice(b_enum), v)
+            for v in sorted(c)
+            if not g.adjacency_mask(v) & b_mask and rng.random() < 0.9
+        ]
+        g = Graph(g.n, list(g.edges()) + adopted)
+        if rng.random() < 0.05:
+            b_enum.append(b_enum[0])
+        first = {
+            v: next((i for i, b in enumerate(b_enum) if g.has_edge(b, v)), None)
+            for v in c
+        }
+        if len(set(b_enum)) < len(b_enum) or None in first.values():
+            with pytest.raises(InputError) as exc:
+                grading_from_cover(g, b_enum, c)
+            refused.add(str(exc.value))
+            continue
+        compared += 1
+        grading = grading_from_cover(g, b_enum, c)
+        assert grading.parts == tuple(
+            frozenset(v for v in c if first[v] == i) for i in range(len(b_enum))
+        )
+        assert square_edges(g, b_enum, c) == sorted(
+            (u, v)
+            for u in c
+            for v in c
+            if u < v
+            and g.has_edge(u, v)
+            and not g.has_edge(b_enum[first[u]], v)
+            and not g.has_edge(b_enum[first[v]], u)
+        )
+        shuffled = list(grading.parts)
+        rng.shuffle(shuffled)
+        labels = {v: rng.randrange(3) for v in c}
+        random_parts = [frozenset(v for v in c if labels[v] == i) for i in range(3)]
+        for parts in (grading.parts, tuple(shuffled), tuple(random_parts)):
+            want = all(
+                first[u] < first[v]
+                for i, earlier in enumerate(parts)
+                for later in parts[i + 1:]
+                for u in earlier
+                for v in later
+            )
+            assert is_compatible(b_enum, Grading(g, parts)) == want
+            verdicts.add(want)
+        assert is_compatible(b_enum, grading)
+    assert compared >= 200 and verdicts == {True, False}
+    assert refused == {
+        "enumeration has repeated vertices",
+        "the enumeration does not cover the target set",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +569,43 @@ def test_enumerate_jets_on_cycle_shower():
     assert summary.lengths == frozenset({3})
     assert summary.residues == frozenset({0})
     assert summary.completeness == 1
+
+
+def test_jets_with_d_keep_the_peripheral_lengths():
+    """With d given, a jet's length counts when the floor vertices neither on
+    the jet nor next to it induce a subgraph of chromatic number above d,
+    by the exhaustive colouring oracle."""
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(6, 10), rng.uniform(0.25, 0.5))
+        for depth, drain in ((k, v) for k in (2, 3) for v in g.vertices()):
+            s = shower_from_bfs(g, 0, depth, drain)
+            if s is None:
+                continue
+            floor = s.floor()
+            jets, _ = enumerate_jets(s, 6)
+            for d in (0, 1, 2):
+                got_jets, summary = enumerate_jets(s, 6, ell=3, d=d)
+                want = set()
+                for jet in jets:
+                    exterior = sorted(
+                        v for v in floor
+                        if v not in jet and not any(g.has_edge(v, w) for w in jet)
+                    )
+                    index = {v: i for i, v in enumerate(exterior)}
+                    sub = Graph(
+                        len(exterior),
+                        [(index[u], index[v]) for u, v in g.edges()
+                         if u in index and v in index],
+                    )
+                    if oracle_chromatic_number(sub) > d:
+                        want.add(len(jet) - 1)
+                assert got_jets == jets
+                assert summary.lengths == want
+                assert summary.residues == {t % 3 for t in want}
+                outcomes.add((bool(want), want == {len(j) - 1 for j in jets}))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_jet_summary_completeness_run():
