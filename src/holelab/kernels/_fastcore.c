@@ -2,16 +2,18 @@
 
 Same algorithm as the pure-Python kernel (see _pycore.py for the full
 description): anchored DFS over induced paths with a completion-feasibility
-prune. Of the pure kernel's three layers it runs two, the BFS and the
-chain-contraction sweep: the pure kernel's second layer, a short DFS for a
-return path of admissible length, only ever accepts where the sweep
-accepts, so leaving it out changes no verdict. Bitsets are fixed-width
-word arrays instead of Python ints, and the contraction is built afresh
-for each call that reaches the sweep, where the pure kernel patches the
-one it kept. The emitted hole stream is identical to the pure kernel's:
-superedges are discovered in the same order, both kernels give the i-th
-odd superedge subset bit i (for i < MAX_TRACKED_ODD), the prune gives the
-same verdicts, and pruning is sound, so DFS emissions coincide exactly.
+prune. Of the pure kernel's four layers it runs three, the BFS, the gate
+and the chain-contraction sweep: the pure kernel's second layer, a short
+DFS for a return path of admissible length, only ever accepts where the
+sweep accepts, so leaving it out changes no verdict. Bitsets are
+fixed-width word arrays instead of Python ints, and the contraction is
+built afresh for each call that reaches the sweep, where the pure kernel
+patches the one it kept. The emitted hole stream is identical to the pure
+kernel's, since pruning is sound. The DFS nodes coincide too: superedges
+are discovered in the same order, both kernels give the i-th odd superedge
+subset bit i (for i < MAX_TRACKED_ODD), and both gate the same residual
+graphs with the same GATE_RATIO. A gate accept need not be the sweep's
+verdict, so the kernels agree node for node only while they gate alike.
 
 Build by hand (setup.py does the same through setuptools):
 
@@ -27,6 +29,18 @@ typedef unsigned long long u64;
 
 #define MAX_TRACKED_ODD 6
 #define MAX_RESIDUE_MOD 64
+/* A call the BFS leaves open is accepted unswept when its branch vertices
+   (start and anchor included) are more than 1/GATE_RATIO of its live
+   vertices, in both kernels. Measured branch/live on such calls: 72
+   findhole gadgets (l = 24..32, paths in {2, 4}^3), 90th percentile 0.086,
+   at most 0.101, and 3177 of their 4611 sweeps reject; Myc4 windows [5, 8],
+   [11, 11] and [13, 13] and random n = 130 window [6, 9], 10th percentile
+   0.64 or more. A half sits in that gap, so the gate never fires on a
+   gadget, whose chains the sweep needs, and settles most calls where
+   nearly nothing contracts and a sweep costs more than the nodes it saves:
+   compiled, Myc4's window [13, 13] makes 76652 nodes in 0.013 s with the
+   gate, against 56214 nodes in 0.082 s without. */
+#define GATE_RATIO 2
 
 #if defined(__GNUC__) || defined(__clang__)
 #define popcount64(x) __builtin_popcountll(x)
@@ -177,7 +191,7 @@ static int bfs_layer(HoleSearch *s, int start, int lo, int hi)
    2 <= lo <= hi. */
 static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int lo, int hi)
 {
-    int nw = s->nw, anchor = s->anchor, nb = 0, slots = 0, g = 0, n_odd = 0;
+    int nw = s->nw, anchor = s->anchor, nb = 0, n_live = 0, slots = 0, g = 0, n_odd = 0;
     for (int i = 0; i < nw; i++)
         s->live[i] = allowed[i];
     set_bit(s->live, start);
@@ -186,13 +200,15 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
     if (settled >= 0)
         return settled;
     /* branch vertices: residual degree != 2, plus start and anchor; each
-       gets one slot per residual edge in the CSR over the branch graph */
+       gets one slot per residual edge in the CSR over the branch graph.
+       Then the gate: a residual that barely contracts is accepted. */
     memset(s->branch, 0, nw * sizeof(u64));
     for (int i = 0; i < nw; i++) {
         u64 word = s->live[i];
         while (word) {
             int v = (i << 6) + ctz64(word), deg = 0;
             word &= word - 1;
+            n_live++;
             for (int w = 0; w < nw; w++)
                 deg += popcount64(s->adj[v * nw + w] & s->live[w]);
             if (deg != 2 || v == start || v == anchor) {
@@ -204,6 +220,8 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
             }
         }
     }
+    if (GATE_RATIO * nb > n_live)
+        return 1;
     /* contract degree-2 chains into weighted superedges, listed by lower
        end and then by its neighbour; each chain is seen from both ends, keep
        only the lower-endpoint discovery. The i-th odd superedge, for

@@ -11,17 +11,21 @@ bitmasks: the frame of the path's end is held in local variables, saved on
 a stack only when the path grows, and a node hands back the holes it
 closes as soon as it is made (see find_holes). When an upper length bound
 is given, each extension is pruned with a completion-feasibility test on
-the residual graph, in three layers:
+the residual graph, in four layers:
 
 1. A bitset BFS from the path's end, at most `hi` levels deep. If the
    anchor is out of reach, no return path is short enough; if it is first
    reached at a depth that is itself an admissible length, the shortest
    path is a return path. Either way the answer is settled.
-2. Where the sweep of layer 3 would need a contraction built from scratch,
+2. Where the sweep of layer 4 would need a contraction built from scratch,
    a DFS of at most CERTIFICATE_STEPS steps looks for a simple return path
    of admissible length. Finding one settles the call (it is accepted);
    finding none settles nothing.
-3. Otherwise degree-2 chains are contracted to weighted superedges and a
+3. The gate: where the branch vertices of the contraction below, start and
+   anchor included, are more than 1/GATE_RATIO of the residual graph's
+   vertices, the residual barely contracts, and the call is accepted with
+   no contraction made and no sweep run.
+4. Otherwise degree-2 chains are contracted to weighted superedges and a
    shortest-path sweep over (branch vertex, odd-superedge subset, weight
    residue) states decides whether a return path with an admissible total
    length can still exist (see _sweep).
@@ -43,12 +47,15 @@ One DFS step removes one vertex and its neighbours from the residual graph,
 and siblings differ only in their start vertex, so the contraction is not
 rebuilt per call: the prune keeps the last one it made at each DFS depth
 and patches it, or the one of the depth above, redoing only the superedges
-through vertices whose residual neighbours or role changed (see _patch). A
-patch reproduces the contraction exactly, and patches may start from any
+through vertices whose residual neighbours or role changed (see _patch).
+The gate reads the branch vertices that the build or the patch works out
+first anyway, before any chain is walked (_branch_vertices, _patch_branch).
+A patch reproduces the contraction exactly, and patches may start from any
 kept contraction, so verdicts do not depend on how the contraction was
-made, nor on the depths where a certificate hit left the kept one stale.
+made, nor on the depths where a certificate hit or a gate accept left the
+kept one stale.
 
-Layers 1 and 2 only answer where the sweep of layer 3 answers the same.
+Layers 1 and 2 only answer where the sweep of layer 4 answers the same.
 Every walk the sweep counts is a walk in the residual graph, so an anchor
 beyond hi BFS levels means the sweep rejects too. An anchor first reached
 at level d >= lo (so d >= 2: the direct start-anchor edge never settles a
@@ -57,14 +64,19 @@ state at distance d, since no walk is shorter, and accepts. A simple path
 from start to anchor, such as the certificate finds, passes each chain
 whole, since start and anchor are branch vertices, and each superedge and
 branch vertex at most once: it is a walk of the same length that the
-sweep counts, so the sweep accepts whenever the certificate does. So the
-prune's verdict does not depend on which layer gave it. The test only
-ever rejects impossible completions, so pruning never changes the emitted
-set of holes. The compiled kernel (_fastcore.c) runs layers 1 and 3, with
-a contraction built afresh for each call that reaches the sweep, and
-gives the same verdicts, so it agrees with this one hole for hole and DFS
-node for DFS node; this kernel is its fallback where no C compiler is
-present, and its oracle in the tests.
+sweep counts, so the sweep accepts whenever the certificate does. The gate
+is not the sweep's verdict: it may accept a call that the sweep would
+reject. Accepting is always sound, since the test only ever rejects
+impossible completions, so pruning never changes the emitted set of
+holes; but a gate accept lets the DFS grow paths that the sweep would
+have cut, so where the DFS goes, and its node count, depends on the gate.
+The compiled kernel (_fastcore.c) runs layers 1, 3 and 4, with the same
+GATE_RATIO on the same residual graphs and a contraction built afresh for
+each call that reaches the sweep. A call that layer 2 accepts is one that
+the compiled kernel accepts too, by its gate or by its sweep, so the two
+kernels give the same verdicts and agree hole for hole and DFS node for DFS
+node, as long as they gate alike. This kernel is the compiled one's
+fallback where no C compiler is present, and its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -87,16 +99,29 @@ MAX_RESIDUE_MOD = 64
 # 1000 vertices, patches of a third to a half of that size took about as
 # long as a build, and smaller ones less.
 REBUILD_RATIO = 3
-# The step cap of the path certificate, 64 measured against 16 on the pure
-# kernel. perfbench holes-window (seed 2, 4 rounds): wall_s 0.175-0.182 s
-# against 0.185-0.198 s (0.230-0.240 s without the certificate), first_hit_s
-# the same; hits on its random graphs 1354 of 1604 calls against 1100 of
-# 1460, on its gadgets 40 of 47 against 0 of 9. Myc4 (best of 5): window
-# [5, 8] the same, 1224 of 1287 calls hit either way; the first hole of
-# [11, 11] 0.05 s against 0.08 s; the full search of [13, 13] 1.8-2.0 s
-# against 2.0-2.2 s (2.3-2.6 s without). Caps of 128 and 256 hit a few %
-# more often and were no faster.
+# The step cap of the path certificate, which runs before the gate. With
+# the gate in place, perfbench holes-window (seed 1, 10 rounds against no
+# certificate) gave wall_s 0.156 against 0.161 s and first_hit_s 0.104
+# against 0.109 s, 9 of 10 rounds won on each; run after the gate, it won
+# neither. Run first, it settles 1584 of 1914 calls on that workload's
+# random graphs and 40 of 47 on its gadgets, which then make 558 sweeps
+# instead of 598. It costs most where it misses: 26524 of its 32861 calls
+# on Myc4's window [13, 13], which takes 0.60-0.72 s against 0.42 s
+# without it. 64 was measured against 16 before the gate: with 16 no
+# gadget call hit, and caps of 128 and 256 were no faster.
 CERTIFICATE_STEPS = 64
+# A call the BFS leaves open is accepted unswept when its branch vertices
+# (start and anchor included) are more than 1/GATE_RATIO of its live
+# vertices, in both kernels. Measured branch/live on such calls: 72
+# findhole gadgets (l = 24..32, paths in {2, 4}^3), 90th percentile 0.086,
+# at most 0.101, and 3177 of their 4611 sweeps reject; Myc4 windows [5, 8],
+# [11, 11] and [13, 13] and random n = 130 window [6, 9], 10th percentile
+# 0.64 or more. A half sits in that gap, so the gate never fires on a
+# gadget, whose chains the sweep needs, and settles most calls where
+# nearly nothing contracts and a sweep costs more than the nodes it saves:
+# compiled, Myc4's window [13, 13] makes 76652 nodes in 0.013 s with the
+# gate, against 56214 nodes in 0.082 s without.
+GATE_RATIO = 2
 
 
 def _completion_feasible(
@@ -110,17 +135,20 @@ def _completion_feasible(
     depth: int,
 ) -> bool:
     """Can some simple path from start to anchor with length in [lo, hi]
-    (lo >= 2) exist within `allowed`? The three layers of the module
+    (lo >= 2) exist within `allowed`? The four layers of the module
     docstring, in order.
 
     Layer 1 is a BFS over the residual graph `allowed | start | anchor`,
     at most hi levels deep. Only calls that reach the anchor at a level
-    below lo go on to the sweep, which reads the contraction that
-    _patch_source picks to patch from `contractions`, the last one built at
-    each DFS depth, or builds afresh. Where it would build afresh, layer 2,
-    _path_certificate, runs first: a hit returns True with no contraction
-    built, and leaves the one kept for this depth as it was; a miss goes on
-    to the build and the sweep.
+    below lo go on. They read the contraction that _patch_source picks to
+    patch from `contractions`, the last one made at each DFS depth, or
+    build one afresh. Where they would build afresh, layer 2,
+    _path_certificate, runs first. Then the branch vertices are worked out,
+    by the scan a fresh build starts with or the first half of the patch,
+    and layer 3, the gate, reads them. A certificate hit or a gate accept
+    returns True with no contraction made, and leaves the one kept for
+    this depth as it was; otherwise the contraction is finished, kept and
+    swept.
     """
     live = allowed | (1 << start) | (1 << anchor)
     anchor_bit = 1 << anchor
@@ -140,9 +168,15 @@ def _completion_feasible(
             if source is None:
                 if _path_certificate(adj, live, start, anchor, lo, hi):
                     return True
-                con = _contract(adj, live, forced)
+                branch = _branch_vertices(adj, live, forced)
             else:
-                con = _patch(adj, source, live, forced)
+                branch, redo = _patch_branch(adj, source, live, forced)
+            if GATE_RATIO * branch.bit_count() > live.bit_count():
+                return True
+            if source is None:
+                con = _contract(adj, live, forced, branch)
+            else:
+                con = _patch(adj, source, live, forced, (branch, redo))
             contractions[depth] = con
             return _sweep(con, start, anchor, lo, hi)
         if not frontier:
@@ -213,14 +247,25 @@ class _Contraction:
     evens: dict[int, int]
 
 
-def _contract(adj: Sequence[int], live: int, forced: int) -> _Contraction:
-    """The contraction of `live` with branch vertices `forced`, from
-    scratch."""
+def _branch_vertices(adj: Sequence[int], live: int, forced: int) -> int:
+    """The branch vertices of the contraction of `live` with `forced`:
+    those of `forced` and those of residual degree other than 2."""
     branch = forced
     # scanning the binary digits beats peeling low bits off a wide mask
     for v, digit in enumerate(bin(live)[:1:-1]):
         if digit == "1" and (adj[v] & live).bit_count() != 2:
             branch |= 1 << v
+    return branch
+
+
+def _contract(
+    adj: Sequence[int], live: int, forced: int, branch: int | None = None
+) -> _Contraction:
+    """The contraction of `live` with branch vertices `forced`, from
+    scratch; `branch` is their _branch_vertices mask, scanned for where not
+    given."""
+    if branch is None:
+        branch = _branch_vertices(adj, live, forced)
     con = _Contraction(live, forced, branch, {}, {}, [], {})
     moves, extra, odd, evens = con.moves, con.extra, con.odd, con.evens
     # Superedges are found in order: a chain is walked once, from its lower
@@ -363,12 +408,12 @@ def _toggle(
                 del moves[v]
 
 
-def _patch(
+def _patch_branch(
     adj: Sequence[int], con: _Contraction, live: int, forced: int
-) -> _Contraction:
-    """The contraction of `live` with branch vertices `forced`, made from
-    con by redoing only the superedges that change; con is left as it
-    was."""
+) -> tuple[int, int]:
+    """The branch vertices of `live` with `forced`, read off con's where
+    no residual neighbour or role changes and recounted elsewhere, and the
+    vertices whose superedges _patch redoes."""
     old_live, old_branch = con.live, con.branch
     changed = old_live ^ live
     # the vertices whose residual neighbours or forced status change
@@ -386,10 +431,24 @@ def _patch(
         rest ^= v_bit
         if (adj[v_bit.bit_length() - 1] & live).bit_count() != 2:
             branch |= v_bit
+    return branch, dirty & ~(old_branch & branch)
+
+
+def _patch(
+    adj: Sequence[int],
+    con: _Contraction,
+    live: int,
+    forced: int,
+    cut: tuple[int, int] | None = None,
+) -> _Contraction:
+    """The contraction of `live` with branch vertices `forced`, made from
+    con by redoing only the superedges that change; con is left as it
+    was. `cut` is _patch_branch's answer, worked out where not given."""
+    old_live, old_branch = con.live, con.branch
+    branch, redo = cut if cut is not None else _patch_branch(adj, con, live, forced)
     # A chain without a vertex of `redo` is a superedge on both sides: its
     # inside keeps its neighbours, its ends stay branch vertices. So the
     # superedges of `gone` and `made` are the only ones that differ.
-    redo = dirty & ~(old_branch & branch)
     gone = _chains_through(adj, old_live, old_branch, redo & old_live)
     made = _chains_through(adj, live, branch, redo & live)
     new = _Contraction(

@@ -43,6 +43,10 @@ def node_count(kernel, g, min_len=4, max_len=None):
 # mean degrees low enough that the full hole stream stays small
 PRUNE_GRAPHS = [(18, 4.0), (30, 4.0), (63, 2.8), (64, 2.8), (65, 2.8), (130, 2.0)]
 PRUNE_WINDOWS = [(6, 9), (5, 5)]
+# Myc4, triangle-free with chromatic number 6, where the prune's residual
+# graphs barely contract; it has no hole of length 13, so that window is a
+# full search
+MYC4_WINDOWS = [(5, 8), (11, 11), (13, 13)]
 
 
 def prune_graphs():
@@ -142,14 +146,23 @@ def test_enumerate_holes_wrapper_respects_budget():
         list(enumerate_holes(g, budget=budget))
 
 
+def gate_meets(adj, live, start, anchor):
+    """Does the residual graph `live` contract so little that the gate
+    accepts, read off a contraction built from scratch?"""
+    branch = _pycore._contract(adj, live, (1 << start) | (1 << anchor)).branch
+    return _pycore.GATE_RATIO * branch.bit_count() > live.bit_count()
+
+
 def test_prune_verdicts_match_full_sweep(monkeypatch):
-    """The BFS layer of the prune settles a call only where the sweep
-    would give the same verdict.
+    """The prune rejects only where the sweep rejects, and accepts only
+    where the sweep accepts or the gate may: the BFS layer settles a call
+    only where the sweep gives the same verdict.
 
     The call and reject counts pin the verdicts: any change of verdict
     moves the DFS and with it these counts. They are those of the compiled
-    kernel's sweep, which test_node_counts_identical_across_kernels checks
-    node for node.
+    kernel, which test_node_counts_identical_across_kernels checks node
+    for node. No call of the gadget search meets the gate, so there every
+    verdict is the sweep's.
     """
     calls = []
     feasible = _pycore._completion_feasible
@@ -163,14 +176,22 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
     for g in prune_graphs():
         for lo, hi in PRUNE_WINDOWS:
             holes_of(_pycore, g, lo, hi)
+    on_graphs = len(calls)
     gadget = findhole_gadget(24, 2, 2, 4)
     search = _pycore.find_holes(gadget.adjacency_masks(), gadget.n, 24, 24, 10_000)
     assert len(next(search)) == 24
     verdicts = [verdict for *_, verdict in calls]
-    assert (len(verdicts), verdicts.count(False)) == (6416, 2625)
-    for adj, allowed, start, anchor, lo, hi, verdict in calls:
+    assert (len(verdicts), verdicts.count(False)) == (6765, 2664)
+    gated = 0
+    for i, (adj, allowed, start, anchor, lo, hi, verdict) in enumerate(calls):
         live = allowed | (1 << start) | (1 << anchor)
-        assert _pycore._sweep_feasible(adj, live, start, anchor, lo, hi) == verdict
+        swept = _pycore._sweep_feasible(adj, live, start, anchor, lo, hi)
+        meets = gate_meets(adj, live, start, anchor)
+        assert not (i >= on_graphs and meets)
+        if verdict != swept:
+            assert verdict and meets
+            gated += 1
+    assert gated > 0
 
 
 def contraction_facts(con):
@@ -188,9 +209,12 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
     """Every contraction a sweep reads, patched along the DFS, is the one
     built from scratch on the same residual graph.
 
-    A certificate hit leaves the contraction kept for its depth as it was,
-    so the kept ones can be stale; the sweeps must still read contractions
-    built afresh and patched from both a sibling's and the parent's."""
+    A gate accept or a certificate hit leaves the contraction kept for its
+    depth as it was, so the kept ones can be stale; the sweeps must still
+    read contractions built afresh and patched from both a sibling's and
+    the parent's. The gate leaves few sweeps on the random graphs; the
+    gadgets, where it never accepts, make most of the patches, and Myc4's
+    window [11, 11] most of the fresh builds."""
     feasible, sweep, patch, contract = (
         _pycore._completion_feasible, _pycore._sweep, _pycore._patch, _pycore._contract
     )
@@ -216,11 +240,11 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
         checked += 1
         return verdict
 
-    def count_patch(adj, source, live, forced):
+    def count_patch(adj, source, live, forced, *cut):
         source_is = [name for name in patched if call[name] is source]
         assert len(source_is) == 1
         patched[source_is[0]] += 1
-        return patch(adj, source, live, forced)
+        return patch(adj, source, live, forced, *cut)
 
     def count_contract(*args):
         nonlocal fresh_builds
@@ -234,7 +258,8 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
     for g in prune_graphs():
         for lo, hi in PRUNE_WINDOWS:
             holes_of(_pycore, g, lo, hi)
-    for ell in (24, 25, 26):
+    holes_of(_pycore, standard_family("mycielski_iterate", 4), 11, 11)
+    for ell in range(24, 33):
         for paths in ((2, 2, 4), (4, 4, 2)):
             gadget = findhole_gadget(ell, *paths)
             assert len(first_hit_count(_pycore, gadget, ell, ell)[0]) == ell
@@ -314,9 +339,11 @@ def test_window_keeps_hole_behind_untracked_anchor_edge(kernel):
 
 def test_windowed_stream_is_filtered_full_stream(kernel):
     # the unwindowed search runs no prune, so it is an independent reference
-    for g in prune_graphs():
+    cases = [(g, PRUNE_WINDOWS) for g in prune_graphs()]
+    cases.append((standard_family("mycielski_iterate", 4), MYC4_WINDOWS))
+    for g, windows in cases:
         full = holes_of(kernel, g)
-        for lo, hi in PRUNE_WINDOWS:
+        for lo, hi in windows:
             expected = [h for h in full if lo <= len(h) <= hi]
             assert holes_of(kernel, g, lo, hi) == expected
 
@@ -489,6 +516,15 @@ def test_node_counts_identical_across_kernels(fastcore, corpus_le7):
         assert trace(fastcore.find_holes, g, lo, hi) == pure
         for budget in budgets_up_to(pure[2]):
             assert trace(fastcore.find_holes, g, lo, hi, budget) == budgeted(pure, budget)
+    # Myc4's windows, where the gate settles most of the calls the BFS
+    # leaves open
+    myc4 = standard_family("mycielski_iterate", 4)
+    for lo, hi in MYC4_WINDOWS:
+        pure = trace(_pycore.find_holes, myc4, lo, hi)
+        assert trace(fastcore.find_holes, myc4, lo, hi) == pure
+        total = pure[2]
+        for budget in (0, 1, total // 3, total // 2, total - 1, total):
+            assert trace(fastcore.find_holes, myc4, lo, hi, budget) == budgeted(pure, budget)
     # first hits on findhole gadgets, as the windowed first-hit jobs make
     for ell in range(24, 33):
         gadget = findhole_gadget(ell, 2, 2, 4)
