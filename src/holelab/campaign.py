@@ -2,7 +2,7 @@
 
 A campaign evaluates one predicate on every corpus entry, collects
 counterexample witnesses, and serializes to a JSON report whose bytes are a
-function of (corpus, predicate, params, seed) only — wall-clock timing is
+function of (corpus, predicate, params) only — wall-clock timing is
 kept in memory but excluded from the default serialization so reruns with
 identical configuration produce identical files.
 """
@@ -33,7 +33,6 @@ class EntryVerdict:
 class CampaignReport:
     predicate: str
     params: dict[str, Any]
-    seed: int
     verdicts: tuple[EntryVerdict, ...]
     counterexamples: tuple[EntryVerdict, ...]
     elapsed_seconds: float
@@ -202,15 +201,13 @@ def run_campaign(
     predicate: str,
     corpus: Sequence[CorpusEntry],
     params: dict[str, Any] | None = None,
-    seed: int = 0,
     budget_nodes: int | None = None,
 ) -> CampaignReport:
     """Evaluate one predicate over a corpus, deterministically.
 
     Entries are evaluated one after another, each under a fresh budget of
     budget_nodes; per-entry budget errors are recorded on the verdict, never
-    fatal. No check reads the seed; it is echoed in the report.
-    Verdicts are ordered by entry id. The check runs once on the null
+    fatal. Verdicts are ordered by entry id. The check runs once on the null
     graph, with no node limit, before any entry: a parameter it rejects is
     an input error whatever the corpus holds.
     """
@@ -236,7 +233,6 @@ def run_campaign(
     return CampaignReport(
         predicate=predicate,
         params=params,
-        seed=seed,
         verdicts=tuple(verdicts),
         counterexamples=tuple(v for v in verdicts if not v.ok),
         elapsed_seconds=time.monotonic() - start,
@@ -248,7 +244,6 @@ def report_as_dict(report: CampaignReport, include_timing: bool = False) -> dict
     return {
         "predicate": report.predicate,
         "params": {k: report.params[k] for k in sorted(report.params)},
-        "seed": report.seed,
         "entries": len(report.verdicts),
         "verdicts": [
             {

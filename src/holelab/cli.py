@@ -14,7 +14,13 @@ from typing import Any, Callable
 from .budget import DEFAULT_NODE_BUDGET, Budget
 from .campaign import PREDICATES, report_as_dict, run_campaign
 from .errors import BudgetExceededError, InputError
-from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
+from .gadgets import (
+    FAMILY_PARAMS,
+    crest_gadget,
+    findhole_gadget,
+    multicover_gadget,
+    standard_family,
+)
 from .graph import Graph
 from .holes import enumerate_holes, residue_coverage
 from .homology import EXHAUSTIVE_SUBSETS, betti_numbers, is_k_balanced
@@ -155,18 +161,7 @@ def _cmd_balance(args) -> int:
 
 
 # the number of integer parameters each gadget kind takes
-GADGET_PARAMS = {
-    "findhole": 4,
-    "multicover": 3,
-    "crest": 4,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "petersen": 0,
-    "mycielski_iterate": 1,
-    "kneser": 2,
-    "random": 2,
-}
+GADGET_PARAMS = {"findhole": 4, "multicover": 3, "crest": 4, **FAMILY_PARAMS}
 
 
 def _cmd_gadget(args) -> int:
@@ -185,7 +180,7 @@ def _cmd_gadget(args) -> int:
     elif args.kind == "multicover":
         g, _ = multicover_gadget(*args.params)
     elif args.kind == "crest":
-        base, mc = multicover_gadget(*args.params[1:])
+        _, mc = multicover_gadget(*args.params[1:])
         g, _, _ = crest_gadget(args.params[0], mc)
     else:
         g = standard_family(args.kind, *args.params, seed=args.seed)
@@ -302,11 +297,7 @@ def _cmd_verify(args) -> int:
         except ValueError:
             params[key] = value
     report = run_campaign(
-        args.predicate,
-        corpus,
-        params,
-        seed=args.seed,
-        budget_nodes=args.budget_nodes,
+        args.predicate, corpus, params, budget_nodes=args.budget_nodes
     )
     write_json(report_as_dict(report, include_timing=args.timing), args.json_out)
     if not report.clean:
@@ -328,7 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NODE_BUDGET,
         help="search-node budget per entry (default 10^8)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of balance sampling and of gadget random",
+    )
     parser.add_argument(
         "--format", choices=FORMATS, default="graph6", help="corpus format"
     )

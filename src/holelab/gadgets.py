@@ -116,8 +116,28 @@ def _mycielski(g: Graph) -> Graph:
     return Graph(2 * n + 1, edges)
 
 
+# the number of integer parameters each standard family kind takes
+FAMILY_PARAMS = {
+    "cycle": 1,
+    "complete": 1,
+    "complete_bipartite": 2,
+    "petersen": 0,
+    "mycielski_iterate": 1,
+    "kneser": 2,
+    "random": 2,
+}
+
+
 def standard_family(kind: str, *params: int, seed: int = 0) -> Graph:
-    """Deterministic standard graphs used as test substrates."""
+    """Deterministic standard graphs used as test substrates; `kind` takes
+    FAMILY_PARAMS[kind] integer parameters."""
+    if kind not in FAMILY_PARAMS:
+        raise InputError(f"unknown family kind: {kind}")
+    if len(params) != FAMILY_PARAMS[kind]:
+        raise InputError(
+            f"family {kind} takes {FAMILY_PARAMS[kind]} integer parameters, "
+            f"got {len(params)}"
+        )
     if kind == "cycle":
         (n,) = params
         if n < 3:
@@ -151,16 +171,14 @@ def standard_family(kind: str, *params: int, seed: int = 0) -> Graph:
             if not set(subsets[i]) & set(subsets[j])
         ]
         return Graph(len(subsets), edges)
-    if kind == "random":
-        n, percent = params
-        if not 0 <= percent <= 100:
-            raise InputError("edge probability percent must be in 0..100")
-        rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() * 100 < percent
-        ]
-        return Graph(n, edges)
-    raise InputError(f"unknown family kind: {kind}")
+    n, percent = params  # random
+    if not 0 <= percent <= 100:
+        raise InputError("edge probability percent must be in 0..100")
+    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() * 100 < percent
+    ]
+    return Graph(n, edges)

@@ -2,15 +2,13 @@
 
 Same algorithm as the pure-Python kernel (see _pycore.py for the full
 description): anchored DFS over induced paths with a completion-feasibility
-prune. Of the pure kernel's four layers it runs three, the BFS, the gate
-and the chain-contraction sweep: the pure kernel's second layer, a short
-DFS for a return path of admissible length, only ever accepts where the
-sweep accepts, so leaving it out changes no verdict. Bitsets are
-fixed-width word arrays instead of Python ints, and the contraction is
-built afresh for each call that reaches the sweep, where the pure kernel
-patches the one it kept. The emitted hole stream is identical to the pure
-kernel's, since pruning is sound. The DFS nodes coincide too: superedges
-are discovered in the same order, both kernels give the i-th odd superedge
+prune in the same three layers, the BFS, the gate and the chain-contraction
+sweep. The kernels differ only in how the contraction is made: the pure
+kernel patches the one it kept, and this one builds it afresh for each call
+that reaches the sweep. Bitsets are fixed-width word arrays instead of
+Python ints. The emitted hole stream is identical to the pure kernel's,
+since pruning is sound. The DFS nodes coincide too: superedges are
+discovered in the same order, both kernels give the i-th odd superedge
 subset bit i (for i < MAX_TRACKED_ODD), and both gate the same residual
 graphs with the same GATE_RATIO. A gate accept need not be the sweep's
 verdict, so the kernels agree node for node only while they gate alike.
@@ -29,17 +27,7 @@ typedef unsigned long long u64;
 
 #define MAX_TRACKED_ODD 6
 #define MAX_RESIDUE_MOD 64
-/* A call the BFS leaves open is accepted unswept when its branch vertices
-   (start and anchor included) are more than 1/GATE_RATIO of its live
-   vertices, in both kernels. Measured branch/live on such calls: 72
-   findhole gadgets (l = 24..32, paths in {2, 4}^3), 90th percentile 0.086,
-   at most 0.101, and 3177 of their 4611 sweeps reject; Myc4 windows [5, 8],
-   [11, 11] and [13, 13] and random n = 130 window [6, 9], 10th percentile
-   0.64 or more. A half sits in that gap, so the gate never fires on a
-   gadget, whose chains the sweep needs, and settles most calls where
-   nearly nothing contracts and a sweep costs more than the nodes it saves:
-   compiled, Myc4's window [13, 13] makes 76652 nodes in 0.013 s with the
-   gate, against 56214 nodes in 0.082 s without. */
+/* The gate's threshold: see GATE_RATIO in _pycore.py for its measurement. */
 #define GATE_RATIO 2
 
 #if defined(__GNUC__) || defined(__clang__)

@@ -11,21 +11,17 @@ bitmasks: the frame of the path's end is held in local variables, saved on
 a stack only when the path grows, and a node hands back the holes it
 closes as soon as it is made (see find_holes). When an upper length bound
 is given, each extension is pruned with a completion-feasibility test on
-the residual graph, in four layers:
+the residual graph, in three layers:
 
 1. A bitset BFS from the path's end, at most `hi` levels deep. If the
    anchor is out of reach, no return path is short enough; if it is first
    reached at a depth that is itself an admissible length, the shortest
    path is a return path. Either way the answer is settled.
-2. Where the sweep of layer 4 would need a contraction built from scratch,
-   a DFS of at most CERTIFICATE_STEPS steps looks for a simple return path
-   of admissible length. Finding one settles the call (it is accepted);
-   finding none settles nothing.
-3. The gate: where the branch vertices of the contraction below, start and
+2. The gate: where the branch vertices of the contraction below, start and
    anchor included, are more than 1/GATE_RATIO of the residual graph's
    vertices, the residual barely contracts, and the call is accepted with
    no contraction made and no sweep run.
-4. Otherwise degree-2 chains are contracted to weighted superedges and a
+3. Otherwise degree-2 chains are contracted to weighted superedges and a
    shortest-path sweep over (branch vertex, odd-superedge subset, weight
    residue) states decides whether a return path with an admissible total
    length can still exist (see _sweep).
@@ -52,31 +48,25 @@ The gate reads the branch vertices that the build or the patch works out
 first anyway, before any chain is walked (_branch_vertices, _patch_branch).
 A patch reproduces the contraction exactly, and patches may start from any
 kept contraction, so verdicts do not depend on how the contraction was
-made, nor on the depths where a certificate hit or a gate accept left the
-kept one stale.
+made, nor on the depths where a gate accept left the kept one stale.
 
-Layers 1 and 2 only answer where the sweep of layer 4 answers the same.
-Every walk the sweep counts is a walk in the residual graph, so an anchor
-beyond hi BFS levels means the sweep rejects too. An anchor first reached
-at level d >= lo (so d >= 2: the direct start-anchor edge never settles a
+Layer 1 only answers where the sweep of layer 3 answers the same. Every
+walk the sweep counts is a walk in the residual graph, so an anchor beyond
+hi BFS levels means the sweep rejects too. An anchor first reached at
+level d >= lo (so d >= 2: the direct start-anchor edge never settles a
 call) gives a shortest path of admissible length; the sweep finds that
-state at distance d, since no walk is shorter, and accepts. A simple path
-from start to anchor, such as the certificate finds, passes each chain
-whole, since start and anchor are branch vertices, and each superedge and
-branch vertex at most once: it is a walk of the same length that the
-sweep counts, so the sweep accepts whenever the certificate does. The gate
-is not the sweep's verdict: it may accept a call that the sweep would
-reject. Accepting is always sound, since the test only ever rejects
-impossible completions, so pruning never changes the emitted set of
-holes; but a gate accept lets the DFS grow paths that the sweep would
-have cut, so where the DFS goes, and its node count, depends on the gate.
-The compiled kernel (_fastcore.c) runs layers 1, 3 and 4, with the same
-GATE_RATIO on the same residual graphs and a contraction built afresh for
-each call that reaches the sweep. A call that layer 2 accepts is one that
-the compiled kernel accepts too, by its gate or by its sweep, so the two
-kernels give the same verdicts and agree hole for hole and DFS node for DFS
-node, as long as they gate alike. This kernel is the compiled one's
-fallback where no C compiler is present, and its oracle in the tests.
+state at distance d, since no walk is shorter, and accepts. The gate is not
+the sweep's verdict: it may accept a call that the sweep would reject.
+Accepting is always sound, since the test only ever rejects impossible
+completions, so pruning never changes the emitted set of holes; but a gate
+accept lets the DFS grow paths that the sweep would have cut, so where the
+DFS goes, and its node count, depends on the gate. The compiled kernel
+(_fastcore.c) runs the same three layers, with the same GATE_RATIO on the
+same residual graphs, and differs only in building the contraction afresh
+for each call that reaches the sweep. So the two kernels give the same
+verdicts and agree hole for hole and DFS node for DFS node. This kernel is
+the compiled one's fallback where no C compiler is present, and its oracle
+in the tests.
 """
 
 from __future__ import annotations
@@ -99,17 +89,6 @@ MAX_RESIDUE_MOD = 64
 # 1000 vertices, patches of a third to a half of that size took about as
 # long as a build, and smaller ones less.
 REBUILD_RATIO = 3
-# The step cap of the path certificate, which runs before the gate. With
-# the gate in place, perfbench holes-window (seed 1, 10 rounds against no
-# certificate) gave wall_s 0.156 against 0.161 s and first_hit_s 0.104
-# against 0.109 s, 9 of 10 rounds won on each; run after the gate, it won
-# neither. Run first, it settles 1584 of 1914 calls on that workload's
-# random graphs and 40 of 47 on its gadgets, which then make 558 sweeps
-# instead of 598. It costs most where it misses: 26524 of its 32861 calls
-# on Myc4's window [13, 13], which takes 0.60-0.72 s against 0.42 s
-# without it. 64 was measured against 16 before the gate: with 16 no
-# gadget call hit, and caps of 128 and 256 were no faster.
-CERTIFICATE_STEPS = 64
 # A call the BFS leaves open is accepted unswept when its branch vertices
 # (start and anchor included) are more than 1/GATE_RATIO of its live
 # vertices, in both kernels. Measured branch/live on such calls: 72
@@ -135,20 +114,18 @@ def _completion_feasible(
     depth: int,
 ) -> bool:
     """Can some simple path from start to anchor with length in [lo, hi]
-    (lo >= 2) exist within `allowed`? The four layers of the module
+    (lo >= 2) exist within `allowed`? The three layers of the module
     docstring, in order.
 
     Layer 1 is a BFS over the residual graph `allowed | start | anchor`,
     at most hi levels deep. Only calls that reach the anchor at a level
     below lo go on. They read the contraction that _patch_source picks to
     patch from `contractions`, the last one made at each DFS depth, or
-    build one afresh. Where they would build afresh, layer 2,
-    _path_certificate, runs first. Then the branch vertices are worked out,
-    by the scan a fresh build starts with or the first half of the patch,
-    and layer 3, the gate, reads them. A certificate hit or a gate accept
-    returns True with no contraction made, and leaves the one kept for
-    this depth as it was; otherwise the contraction is finished, kept and
-    swept.
+    build one afresh. The branch vertices are worked out first, by the scan
+    a fresh build starts with or the first half of the patch, and layer 2,
+    the gate, reads them. A gate accept returns True with no contraction
+    made, and leaves the one kept for this depth as it was; otherwise the
+    contraction is finished, kept and swept.
     """
     live = allowed | (1 << start) | (1 << anchor)
     anchor_bit = 1 << anchor
@@ -166,8 +143,6 @@ def _completion_feasible(
             forced = (1 << start) | anchor_bit
             source = _patch_source(adj, contractions, depth, live, forced)
             if source is None:
-                if _path_certificate(adj, live, start, anchor, lo, hi):
-                    return True
                 branch = _branch_vertices(adj, live, forced)
             else:
                 branch, redo = _patch_branch(adj, source, live, forced)
@@ -182,41 +157,6 @@ def _completion_feasible(
         if not frontier:
             return False
         seen |= frontier
-    return False
-
-
-def _path_certificate(
-    adj: Sequence[int], live: int, start: int, anchor: int, lo: int, hi: int
-) -> bool:
-    """Does a DFS of at most CERTIFICATE_STEPS steps find a simple path
-    from start to anchor within `live`, with length in [lo, hi]?
-
-    The DFS extends the path lowest vertex first, one step per vertex it
-    tries, never through the anchor, and never to a length from which the
-    anchor is out of reach within hi; it accepts as soon as the path's end
-    has the anchor as a neighbour at an admissible length.
-    """
-    anchor_bit = 1 << anchor
-    avail = live & ~anchor_bit & ~(1 << start)  # vertices off the path
-    ext = adj[start] & avail  # the children still to try
-    length = 1  # the length of the path to a child
-    stack = []
-    for _ in range(CERTIFICATE_STEPS):
-        while not ext:
-            if not stack:
-                return False
-            ext, avail = stack.pop()
-            length -= 1
-        w_bit = ext & -ext
-        ext ^= w_bit
-        adj_w = adj[w_bit.bit_length() - 1]
-        if adj_w & anchor_bit and lo <= length + 1 <= hi:
-            return True
-        if length + 2 <= hi:
-            stack.append((ext, avail))
-            avail ^= w_bit
-            ext = adj_w & avail
-            length += 1
     return False
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from holelab.errors import InputError
 from holelab.gadgets import (
+    FAMILY_PARAMS,
     crest_gadget,
     findhole_gadget,
     multicover_gadget,
@@ -106,3 +107,13 @@ def test_random_family_deterministic():
     assert standard_family("random", 8, 100).edge_count == 28
     with pytest.raises(InputError):
         standard_family("random", 5, 101)
+
+
+def test_family_refuses_a_wrong_parameter_count():
+    for kind, want in FAMILY_PARAMS.items():
+        standard_family(kind, *[5] * want)
+        for count in {want - 1, want + 1} - {-1}:
+            with pytest.raises(InputError, match=f"takes {want} integer parameters"):
+                standard_family(kind, *[5] * count)
+    with pytest.raises(InputError, match="unknown family kind"):
+        standard_family("wheel", 5)

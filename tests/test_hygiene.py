@@ -1,11 +1,13 @@
-"""Source hygiene checks on the package, by its syntax tree alone, and on
-the private names that perfbench hooks into it."""
+"""Source hygiene checks on the package, by its syntax tree alone, on the
+private names that perfbench hooks into it, and on the constants that the
+compiled kernel's source restates."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import holelab
@@ -162,6 +164,28 @@ def test_perfbench_prune_hook_is_defined():
     ]
     assert len(hooks) == 1
     assert callable(getattr(_pycore, hooks[0], None))
+
+
+def c_defines(text: str) -> dict[str, str]:
+    """The object-like `#define NAME value` lines of a C source."""
+    return dict(re.findall(r"^#define[ \t]+(\w+)[ \t]+(\S+)[ \t]*$", text, re.MULTILINE))
+
+
+def test_kernels_share_their_constants():
+    """The compiled kernel restates the pure kernel's constants as #define
+    lines; the kernels agree node for node only while these are equal. The
+    source is read as text, so this runs where no C compiler is."""
+    source = PACKAGE / "kernels" / "_fastcore.c"
+    defines = c_defines(source.read_text(encoding="utf-8"))
+    shared = ("MAX_TRACKED_ODD", "MAX_RESIDUE_MOD", "GATE_RATIO")
+    assert {name: defines.get(name) for name in shared} == {
+        name: str(getattr(_pycore, name)) for name in shared
+    }
+
+
+def test_the_check_reads_c_defines():
+    text = "#define A 6\n#define  B 64 \n#define f(x) x\n/* #define C 1 */\n#define D\n#define E 1\n"
+    assert c_defines(text) == {"A": "6", "B": "64", "E": "1"}
 
 
 def public_functions(module) -> set[str]:

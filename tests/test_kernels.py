@@ -209,10 +209,9 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
     """Every contraction a sweep reads, patched along the DFS, is the one
     built from scratch on the same residual graph.
 
-    A gate accept or a certificate hit leaves the contraction kept for its
-    depth as it was, so the kept ones can be stale; the sweeps must still
-    read contractions built afresh and patched from both a sibling's and
-    the parent's. The gate leaves few sweeps on the random graphs; the
+    A gate accept leaves the contraction kept for its depth as it was, so
+    the kept ones can be stale; the sweeps must still read contractions
+    built afresh and patched from both a sibling's and the parent's. The gate leaves few sweeps on the random graphs; the
     gadgets, where it never accepts, make most of the patches, and Myc4's
     window [11, 11] most of the fresh builds."""
     feasible, sweep, patch, contract = (
@@ -266,43 +265,6 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
     assert checked == fresh_builds + sum(patched.values())
     assert checked > 1000 and sum(patched.values()) > checked // 2
     assert fresh_builds > 50 and min(patched.values()) > 100, patched
-
-
-def test_certificate_hits_are_sweep_accepts(monkeypatch, corpus_le7):
-    """A return path the certificate finds is a walk the sweep counts, so
-    the full sweep accepts every call the certificate accepts; and a hit
-    leaves the contraction kept for its depth as it was."""
-    feasible, certify = _pycore._completion_feasible, _pycore._path_certificate
-    hits, misses = [], 0
-
-    def record_call(adj, allowed, start, anchor, lo, hi, contractions, depth):
-        kept, before = len(hits), contractions[depth]
-        verdict = feasible(adj, allowed, start, anchor, lo, hi, contractions, depth)
-        if len(hits) > kept:
-            assert verdict and contractions[depth] is before
-        return verdict
-
-    def record_certificate(*args):
-        nonlocal misses
-        found = certify(*args)
-        if found:
-            hits.append(args)
-        else:
-            misses += 1
-        return found
-
-    monkeypatch.setattr(_pycore, "_completion_feasible", record_call)
-    monkeypatch.setattr(_pycore, "_path_certificate", record_certificate)
-    for g in corpus_le7:
-        for lo, hi in ALL_WINDOWS:
-            holes_of(_pycore, g, lo, hi)
-    holes_of(_pycore, standard_family("mycielski_iterate", 4), 5, 8)
-    for ell in (24, 25, 26):
-        gadget = findhole_gadget(ell, 2, 2, 4)
-        assert len(first_hit_count(_pycore, gadget, ell, ell)[0]) == ell
-    assert len(hits) > 1000 and misses > 1000
-    for adj, live, start, anchor, lo, hi in hits:
-        assert _pycore._sweep_feasible(adj, live, start, anchor, lo, hi)
 
 
 def test_patch_between_any_two_residual_graphs():
