@@ -19,7 +19,7 @@ from .graph import Graph
 from .holes import consecutive_hole_pairs, enumerate_holes, residue_coverage
 from .homology import EXHAUSTIVE_SUBSETS, independence_parity, is_k_balanced
 from .invariants import clique_number
-from .io import CorpusEntry, write_json
+from .io import CorpusEntry
 
 @dataclass(frozen=True)
 class EntryVerdict:
@@ -57,7 +57,7 @@ def _has_ternary_cycle(g: Graph, budget: Budget) -> bool:
         if common:
             return True
     for hole in enumerate_holes(g, budget=budget):
-        if hole.length % 3 == 0:
+        if len(hole) % 3 == 0:
             return True
     return False
 
@@ -164,12 +164,10 @@ def _check_hole_mod_coverage(
     cov = residue_coverage(g, ell, d=opts["d"], budget=budget)
     detail = {
         "ell": ell,
-        "covered": sorted(cov.covered),
-        "witness_lengths": {
-            str(r): cov.witnesses[r].length for r in sorted(cov.witnesses)
-        },
+        "covered": sorted(cov),
+        "witness_lengths": {str(r): len(cov[r]) for r in sorted(cov)},
     }
-    missing = [r % ell for r in opts["require"] if r % ell not in cov.covered]
+    missing = [r % ell for r in opts["require"] if r % ell not in cov]
     if missing:
         detail["missing"] = sorted(missing)
         return False, detail
@@ -257,10 +255,3 @@ def report_as_dict(report: CampaignReport, include_timing: bool = False) -> dict
         "counterexamples": [v.entry_id for v in report.counterexamples],
         "elapsed_seconds": report.elapsed_seconds if include_timing else None,
     }
-
-
-def emit_report(
-    report: CampaignReport, path: str, include_timing: bool = False
-) -> None:
-    """Write the JSON report; byte-identical for identical configurations."""
-    write_json(report_as_dict(report, include_timing=include_timing), path)

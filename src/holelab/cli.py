@@ -111,13 +111,11 @@ def _cmd_holes(args) -> int:
                 budget=budget,
             )
             row["ell"] = args.ell
-            row["covered"] = sorted(cov.covered)
-            row["witnesses"] = {
-                str(r): list(cov.witnesses[r].vertices) for r in sorted(cov.witnesses)
-            }
+            row["covered"] = sorted(cov)
+            row["witnesses"] = {str(r): cov[r] for r in sorted(cov)}
         else:
             holes = list(enumerate_holes(g, args.min_len, args.max_len, budget))
-            row["holes"] = [h.vertices for h in holes]
+            row["holes"] = holes
             row["count"] = len(holes)
 
     return _per_entry(args, fill)

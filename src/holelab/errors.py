@@ -26,6 +26,16 @@ class BudgetExceededError(HolelabError):
         self.partial = partial
 
 
+def budget_message(search: str, cause: Exception) -> str:
+    """The message of the BudgetExceededError that search raises on cause:
+    the node budget ran out, or (a RecursionError) the search, one Python
+    frame per step, went deeper than the interpreter allows, which is
+    refused like a spent budget rather than crashing."""
+    if isinstance(cause, RecursionError):
+        return f"{search} recurses deeper than the interpreter allows"
+    return f"{search} budget exceeded"
+
+
 class RefinementError(HolelabError):
     """A multicover refinement round could not reach its threshold."""
 

@@ -1,15 +1,14 @@
 """Hole enumeration, residue coverage, peripherality, and hole families.
 
 A hole is an induced cycle of length at least 4. Enumeration is delegated to
-the selected kernel (compiled or pure); everything here works with canonical
-Hole values: the vertex sequence starts at the cycle's minimum vertex and
+the selected kernel (compiled or pure); everything here works with holes as
+canonical vertex tuples: the tuple starts at the cycle's minimum vertex and
 the second vertex is the smaller of the anchor's two cycle-neighbors, so
 each hole appears exactly once up to rotation and reflection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .budget import Budget, ensure_budget
@@ -18,41 +17,26 @@ from .graph import Graph, mask_of
 from .invariants import _chromatic_exceeds
 from .kernels import find_holes
 
+Hole = tuple[int, ...]  # a hole's vertices in canonical order
 
-@dataclass(frozen=True, order=True)
-class Hole:
-    """An induced cycle of length >= 4, in canonical vertex order."""
 
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    def residue(self, ell: int) -> int:
-        return self.length % ell
-
-    def validate(self, g: Graph) -> None:
-        """Raise unless this is a chordless cycle of g in canonical form."""
-        vs = self.vertices
-        k = len(vs)
-        if k < 4:
-            raise InputError(f"hole length {k} is below 4")
-        if len(set(vs)) != k:
-            raise InputError("hole vertices are not distinct")
-        for v in vs:
-            g.check_vertex(v)
-        defect = sequence_defect(g, vs, cyclic=True)
-        if defect is not None:
-            u, v, consecutive = defect
-            if consecutive:
-                raise InputError(f"hole vertices {u} and {v} are not adjacent")
-            raise ChordError(u, v)
-        if vs[0] != min(vs) or vs[1] > vs[-1]:
-            raise InputError("hole is not in canonical rotation")
+def validate_hole(g: Graph, vertices: Sequence[int]) -> None:
+    """Raise unless vertices are a chordless cycle of g in canonical form."""
+    k = len(vertices)
+    if k < 4:
+        raise InputError(f"hole length {k} is below 4")
+    if len(set(vertices)) != k:
+        raise InputError("hole vertices are not distinct")
+    for v in vertices:
+        g.check_vertex(v)
+    defect = sequence_defect(g, vertices, cyclic=True)
+    if defect is not None:
+        u, v, consecutive = defect
+        if consecutive:
+            raise InputError(f"hole vertices {u} and {v} are not adjacent")
+        raise ChordError(u, v)
+    if vertices[0] != min(vertices) or vertices[1] > vertices[-1]:
+        raise InputError("hole is not in canonical rotation")
 
 
 def sequence_defect(
@@ -72,30 +56,13 @@ def sequence_defect(
 
 
 def canonical_hole(vertices: Sequence[int]) -> Hole:
-    """Canonicalize a cyclic vertex sequence into a Hole."""
+    """The canonical vertex tuple of a cyclic vertex sequence."""
     vs = list(vertices)
-    k = len(vs)
     a = vs.index(min(vs))
     rot = vs[a:] + vs[:a]
     if rot[-1] < rot[1]:
         rot = [rot[0]] + rot[:0:-1]
-    return Hole(tuple(rot))
-
-
-@dataclass(frozen=True)
-class ResidueCoverage:
-    """Residues mod ell realized by hole lengths, with one witness each."""
-
-    modulus: int
-    witnesses: dict[int, Hole]
-
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(self.witnesses)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.witnesses) == self.modulus
+    return tuple(rot)
 
 
 def enumerate_holes(
@@ -122,9 +89,9 @@ def enumerate_holes(
     )
     count = 0
     try:
-        for vs in stream:
+        for hole in stream:
             count += 1
-            yield Hole(vs)
+            yield hole
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             str(exc), partial=count
@@ -147,14 +114,14 @@ def is_d_peripheral(
     """
     if d < 0:
         raise InputError("d must be nonnegative")
-    h.validate(g)
+    validate_hole(g, h)
     exterior = _exterior(g, h)
     return _chromatic_exceeds(g, exterior, d, budget), exterior
 
 
 def _exterior(g: Graph, h: Hole) -> frozenset[int]:
     """The vertices outside h with no neighbor on it."""
-    return frozenset(g.vertices()) - g.closed_neighborhood(h.vertices)
+    return frozenset(g.vertices()) - g.closed_neighborhood(h)
 
 
 def residue_coverage(
@@ -164,13 +131,13 @@ def residue_coverage(
     min_len: int = 4,
     max_len: int | None = None,
     budget: Budget | None = None,
-) -> ResidueCoverage:
-    """Residues mod ell realized by (optionally d-peripheral) hole lengths.
+) -> dict[int, Hole]:
+    """Residues mod ell realized by (optionally d-peripheral) hole lengths,
+    as {residue: its first witness in enumeration order}.
 
-    Keeps the first witness per residue in enumeration order. Exhaustive
-    within the length window, so stops early once all residues are covered.
-    Holes often share an exterior, so each distinct exterior is tested for
-    d-peripherality once per call.
+    Exhaustive within the length window, so stops early once all residues
+    are covered. Holes often share an exterior, so each distinct exterior is
+    tested for d-peripherality once per call.
     """
     if ell < 1:
         raise InputError("modulus must be at least 1")
@@ -180,7 +147,7 @@ def residue_coverage(
     witnesses: dict[int, Hole] = {}
     peripheral: dict[frozenset[int], bool] = {}  # exterior -> chi > d
     for hole in enumerate_holes(g, min_len, max_len, budget):
-        r = hole.residue(ell)
+        r = len(hole) % ell
         if r in witnesses:
             continue
         if d is not None:
@@ -192,7 +159,7 @@ def residue_coverage(
         witnesses[r] = hole
         if len(witnesses) == ell:
             break
-    return ResidueCoverage(modulus=ell, witnesses=witnesses)
+    return witnesses
 
 
 def anticomplete_hole_family(
@@ -213,16 +180,16 @@ def anticomplete_hole_family(
     if not specs:
         return []
     budget = ensure_budget(budget)
-    holes = sorted(enumerate_holes(g, budget=budget), key=lambda h: (h.length, h.vertices))
+    holes = sorted(enumerate_holes(g, budget=budget), key=lambda h: (len(h), h))
     adj = g.adjacency_masks()
     closed = []
     for h in holes:
-        m = mask_of(h.vertices)
-        for v in h.vertices:
+        m = mask_of(h)
+        for v in h:
             m |= adj[v]
         closed.append(m)
     by_spec: list[list[int]] = [
-        [i for i, h in enumerate(holes) if h.length % q == p % q]
+        [i for i, h in enumerate(holes) if len(h) % q == p % q]
         for p, q in specs
     ]
     chosen: list[int] = []
@@ -234,7 +201,7 @@ def anticomplete_hole_family(
         for i in by_spec[spec_idx]:
             # anticomplete to all chosen holes: no vertex of this hole lies
             # in or next to any of them
-            if used & mask_of(holes[i].vertices):
+            if used & mask_of(holes[i]):
                 continue
             chosen.append(i)
             if extend(spec_idx + 1, used | closed[i]):
@@ -260,7 +227,7 @@ def consecutive_hole_pairs(
     budget = ensure_budget(budget)
     first: dict[int, Hole] = {}
     for hole in enumerate_holes(g, budget=budget):
-        first.setdefault(hole.length, hole)
+        first.setdefault(len(hole), hole)
     return [
         (t, first[t], first[t + 1])
         for t in sorted(first)

@@ -57,7 +57,7 @@ from math import comb, gcd
 from typing import Callable, Iterable
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, budget_message
 from .graph import Graph, bits, mask_of, reach
 
 # the budget rates of the module docstring: nodes per listed face, and bits
@@ -148,10 +148,9 @@ def _polynomials(
     def coefficients(mask: int) -> list[int]:
         try:
             packed = solve(mask)
-        except RecursionError:  # one frame per vertex removed, as on a long path
+        except RecursionError as exc:  # one frame per vertex removed, as on a long path
             raise BudgetExceededError(
-                f"counting on {mask.bit_count()} vertices recurses deeper "
-                "than the interpreter allows"
+                budget_message(f"counting on {mask.bit_count()} vertices", exc)
             ) from None
         field = (1 << width) - 1
         out = []

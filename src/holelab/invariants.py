@@ -9,7 +9,7 @@ vertex index so witnesses are reproducible.
 from __future__ import annotations
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, budget_message
 from .graph import Graph, bits
 
 
@@ -50,9 +50,9 @@ def clique_number(g: Graph, budget: Budget | None = None) -> tuple[int, frozense
 
     try:
         expand(0, 0, g.full_mask())
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, RecursionError) as exc:  # one frame per clique vertex
         raise BudgetExceededError(
-            "clique search budget exceeded",
+            budget_message("clique search", exc),
             lower=best_size,
             upper=g.n,
             partial=frozenset(bits(best_mask)),
@@ -166,9 +166,9 @@ def _deepen(
             if coloring is not None:
                 return k, tuple(coloring)
             lower = k + 1
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, RecursionError) as exc:  # one frame per vertex
         raise BudgetExceededError(
-            "coloring search budget exceeded",
+            budget_message("coloring search", exc),
             lower=lower,
             upper=upper,
             partial=tuple(greedy),

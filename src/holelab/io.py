@@ -25,11 +25,10 @@ FORMATS = ("graph6", "edgelist", "dimacs")
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One parsed graph plus its provenance in the source file."""
+    """One parsed graph and its entry id in the source file."""
 
     id: int
     graph: Graph
-    source_format: str
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +193,13 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
         bodies = [(n, line.removeprefix(">>graph6<<")) for n, line in lines]
         for idx, (lineno, line) in enumerate((n, b) for n, b in bodies if b):
             try:
-                yield CorpusEntry(idx, decode_graph6(line), "graph6")
+                yield CorpusEntry(idx, decode_graph6(line))
             except InputError as exc:
                 raise InputError(f"line {lineno}: {exc}") from None
     elif format == "edgelist":
-        yield CorpusEntry(0, _parse_edgelist(lines), "edgelist")
+        yield CorpusEntry(0, _parse_edgelist(lines))
     else:
-        yield CorpusEntry(0, _parse_dimacs(lines), "dimacs")
+        yield CorpusEntry(0, _parse_dimacs(lines))
 
 
 # ---------------------------------------------------------------------------

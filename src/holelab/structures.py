@@ -14,9 +14,9 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceededError, InputError, RefinementError
+from .errors import BudgetExceededError, InputError, RefinementError, budget_message
 from .graph import Graph, bfs_levels, bits, mask_of, reach, set_of
-from .holes import Hole, canonical_hole, sequence_defect
+from .holes import Hole, canonical_hole, sequence_defect, validate_hole
 from .invariants import _chromatic_exceeds, clique_number
 
 
@@ -595,12 +595,12 @@ def shower_from_bfs(
     L_i is the distance-i layer for i < k; the last layer is the distance-k
     layer restricted to the drain's component (connectivity is required but
     the last layer need not be covered). Returns None when the construction
-    cannot satisfy the axioms.
+    cannot satisfy the axioms; a negative depth is an InputError.
     """
     g.check_vertex(root)
     g.check_vertex(drain)
     if k < 0:
-        return None
+        raise InputError("shower depth must be nonnegative")
     adj = g.adjacency_masks()
     layers = list(islice(bfs_levels(adj, 1 << root), k + 1))
     if len(layers) <= k or not (layers[k] >> drain) & 1:
@@ -711,7 +711,10 @@ def _simple_induced_paths(
             yield from extend(path, new_banned)
             path.pop()
 
-    yield from extend([source], 1 << source)
+    try:
+        yield from extend([source], 1 << source)
+    except RecursionError as exc:  # one frame per path vertex, as on a long path
+        raise BudgetExceededError(budget_message("jet search", exc)) from None
 
 
 def _least_shortest_path(
@@ -791,7 +794,7 @@ def find_recirculator(
 def close_hole(jet: Sequence[int], recirc: Sequence[int], g: Graph) -> Hole:
     """Glue a jet and a recirculator sharing exactly their endpoints.
 
-    The union must be a chordless cycle. Hole.validate raises on the first
+    The union must be a chordless cycle. validate_hole raises on the first
     defect in canonical order: ChordError for a chord, InputError otherwise.
     """
     if len(jet) < 2 or len(recirc) < 2:
@@ -805,5 +808,5 @@ def close_hole(jet: Sequence[int], recirc: Sequence[int], g: Graph) -> Hole:
     if r[0] != jet[-1]:
         r.reverse()
     hole = canonical_hole(list(jet) + r[1:-1])
-    hole.validate(g)
+    validate_hole(g, hole)
     return hole

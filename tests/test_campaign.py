@@ -6,14 +6,13 @@ import pytest
 from holelab import campaign
 from holelab.campaign import (
     PREDICATES,
-    emit_report,
     report_as_dict,
     run_campaign,
 )
 from holelab.errors import HolelabError, InputError
 from holelab.graph import Graph
 from holelab.homology import is_k_balanced
-from holelab.io import CorpusEntry, parse_corpus
+from holelab.io import CorpusEntry, parse_corpus, write_json
 
 from conftest import (
     CORPUS_LE7,
@@ -26,7 +25,7 @@ from conftest import (
 
 
 def entries_of(*graphs):
-    return [CorpusEntry(i, g, "graph6") for i, g in enumerate(graphs)]
+    return [CorpusEntry(i, g) for i, g in enumerate(graphs)]
 
 
 def test_unknown_predicate():
@@ -124,8 +123,8 @@ def test_report_serialization_is_deterministic(tmp_path):
     b = run_campaign("clique_parity", corpus)
     assert report_as_dict(a) == report_as_dict(b)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(a, str(pa))
-    emit_report(b, str(pb))
+    write_json(report_as_dict(a), str(pa))
+    write_json(report_as_dict(b), str(pb))
     assert pa.read_bytes() == pb.read_bytes()
     payload = json.loads(pa.read_text())
     assert payload["predicate"] == "clique_parity"
@@ -134,7 +133,7 @@ def test_report_serialization_is_deterministic(tmp_path):
         "elapsed_seconds",
     ]
     assert payload["elapsed_seconds"] is None  # timing excluded by default
-    emit_report(a, str(pa), include_timing=True)
+    write_json(report_as_dict(a, include_timing=True), str(pa))
     assert json.loads(pa.read_text())["elapsed_seconds"] is not None
 
 

@@ -111,9 +111,45 @@ def test_homology_default_budget_within_address_space_limit(corpus):
         assert row["euler_unreduced"] == sum((-1) ** i * b for i, b in enumerate(row["betti"]))
 
 
+def crown_and_path(extra: int = 0) -> Graph:
+    """The crown graph S_4 with interleaved indices (2i ~ 2j+1 for i != j),
+    which greedy colouring by degree gives four colours (omega = 2), a path
+    on 1,200 more vertices, then a cycle on `extra` vertices (none for 0)."""
+    edges = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
+    edges += [(v, v + 1) for v in range(8, 1207)]
+    edges += cycle_graph(extra, offset=1208) if extra else []
+    return Graph(1208 + extra, edges)
+
+
+# inputs on which a search takes one Python frame per vertex, deeper than
+# the interpreter allows
+DEEP = [
+    pytest.param(lambda: complete_graph(1100), "invariants {c}", id="clique"),
+    pytest.param(crown_and_path, "invariants {c}", id="coloring"),
+    # the C5's exterior is the rest: d-peripherality needs its colouring
+    pytest.param(lambda: crown_and_path(5), "holes {c} --ell 3 --d 1", id="peripheral"),
+    pytest.param(
+        lambda: Graph(1500, [(v, v + 1) for v in range(1499)]),
+        "shower {c} --root 0 --depth 1400 --drain 1400 --jets 1500",
+        id="jets",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_graph, command", DEEP)
+def test_recursion_deeper_than_allowed_exits_3(corpus, tmp_path, capsys, make_graph, command):
+    out = tmp_path / "deep.json"
+    argv = ["--json-out", str(out), *command.format(c=corpus(make_graph())).split()]
+    assert main(argv) == EXIT_BUDGET
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    row = payload[0] if isinstance(payload, list) else payload
+    assert row["budget_error"].endswith("recurses deeper than the interpreter allows")
+
+
 def test_stdout_and_json_out_write_the_same_bytes(corpus, tmp_path, capsys):
-    from holelab.campaign import emit_report, run_campaign
-    from holelab.io import parse_corpus
+    from holelab.campaign import report_as_dict, run_campaign
+    from holelab.io import parse_corpus, write_json
 
     path = corpus(petersen_graph(), complete_graph(4))
     out = tmp_path / "o.json"
@@ -125,7 +161,7 @@ def test_stdout_and_json_out_write_the_same_bytes(corpus, tmp_path, capsys):
         assert out.read_text() == printed
         assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
     report = run_campaign("clique_parity", list(parse_corpus(path, "graph6")))
-    emit_report(report, str(tmp_path / "r.json"))
+    write_json(report_as_dict(report), str(tmp_path / "r.json"))
     main(["--json-out", str(out), "verify", "clique_parity", path])
     assert (tmp_path / "r.json").read_bytes() == out.read_bytes()
 
@@ -409,6 +445,7 @@ MALFORMED = [
     pytest.param("shower {ok} --root 9 --depth 1 --drain 1", None, id="shower-root"),
     pytest.param("shower {ok} --root 0 --depth 1 --drain -1", None, id="shower-drain"),
     pytest.param("shower {ok} --entry 1 --root 0 --depth 1 --drain 1", None, id="shower-entry"),
+    pytest.param("shower {ok} --root 0 --depth -1 --drain 1", None, id="shower-depth"),
     pytest.param(SHOWER + " --jets 3 --ell 1", None, id="shower-ell"),
     pytest.param(
         "shower {ok} --root 0 --depth 2 --drain 2 --jets 3 --ell 2 --d -2", None, id="shower-d"

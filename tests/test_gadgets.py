@@ -8,7 +8,7 @@ from holelab.gadgets import (
     multicover_gadget,
     standard_family,
 )
-from holelab.holes import enumerate_holes
+from holelab.holes import enumerate_holes, validate_hole
 from holelab.invariants import chromatic_number, clique_number
 
 from conftest import petersen_graph
@@ -33,8 +33,8 @@ def test_findhole_gadget_contains_target_hole():
     ell = 24
     g = findhole_gadget(ell, 2, 2, 4)
     hole = next(iter(enumerate_holes(g, min_len=ell, max_len=ell)))
-    assert hole.length == ell
-    hole.validate(g)
+    assert len(hole) == ell
+    validate_hole(g, hole)
 
 
 def test_multicover_gadget_shape():

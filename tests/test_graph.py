@@ -125,7 +125,7 @@ def oracle_components(g: Graph, live: int) -> list[int]:
 def oracle_shower_layers(g: Graph, dist: list[float], k: int, drain: int):
     """BFS layers of depth k with the last cut to the drain's component in
     G[last layer]; None when the drain is not at distance k."""
-    if k < 0 or dist[drain] != k:
+    if dist[drain] != k:
         return None
     layers = [frozenset(v for v in g.vertices() if dist[v] == i) for i in range(k + 1)]
     last, keep = g.induced_subgraph(layers[k])
@@ -149,7 +149,7 @@ def check_bfs_users(g: Graph, rng: random.Random) -> None:
                 v for v in g.vertices() if dist[v] == rho
             }
         depth = max(d for d in dist if d != INF)
-        for k in range(-1, int(depth) + 2):
+        for k in range(int(depth) + 2):
             for drain in g.vertices():
                 s = shower_from_bfs(g, root, k, drain)
                 want = oracle_shower_layers(g, dist, k, drain)

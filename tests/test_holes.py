@@ -10,7 +10,6 @@ from holelab.graph import Graph
 from holelab.gadgets import standard_family
 from holelab.invariants import chromatic_number
 from holelab.holes import (
-    Hole,
     anticomplete_hole_family,
     canonical_hole,
     consecutive_hole_pairs,
@@ -18,30 +17,24 @@ from holelab.holes import (
     is_d_peripheral,
     residue_coverage,
     sequence_defect,
+    validate_hole,
 )
 
 from conftest import cycle_graph, oracle_holes, petersen_graph, random_graph
 
 
-def test_hole_properties():
-    h = Hole((0, 2, 5, 3))
-    assert h.length == 4
-    assert h.vertex_set() == frozenset({0, 2, 3, 5})
-    assert h.residue(3) == 1
-
-
 def test_validate_catches_defects():
     g = Graph(6, cycle_graph(6))
-    Hole((0, 1, 2, 3, 4, 5)).validate(g)
+    validate_hole(g, (0, 1, 2, 3, 4, 5))
     with pytest.raises(InputError):
-        Hole((0, 1, 2)).validate(g)  # too short
+        validate_hole(g, (0, 1, 2))  # too short
     with pytest.raises(InputError):
-        Hole((0, 1, 2, 3)).validate(g)  # 3-0 is not an edge
+        validate_hole(g, (0, 1, 2, 3))  # 3-0 is not an edge
     with pytest.raises(InputError):
-        Hole((1, 2, 3, 4, 5, 0)).validate(g)  # wrong rotation
+        validate_hole(g, (1, 2, 3, 4, 5, 0))  # wrong rotation
     chorded = Graph(5, cycle_graph(5) + [(0, 2)])
     with pytest.raises(ChordError) as exc:
-        Hole((0, 1, 2, 3, 4)).validate(chorded)
+        validate_hole(chorded, (0, 1, 2, 3, 4))
     assert set(exc.value.chord) == {0, 2}
 
 
@@ -68,7 +61,7 @@ def test_canonical_hole_kills_rotation_and_reflection(k, rot, data):
     if data.draw(st.booleans()):
         rotated.reverse()
     assert canonical_hole(rotated) == canonical_hole(base)
-    vs = canonical_hole(base).vertices
+    vs = canonical_hole(base)
     assert vs[0] == min(vs) and vs[1] < vs[-1]
 
 
@@ -77,18 +70,18 @@ def test_petersen_hole_census():
     holes = list(enumerate_holes(g))
     by_len = {}
     for h in holes:
-        by_len[h.length] = by_len.get(h.length, 0) + 1
+        by_len[len(h)] = by_len.get(len(h), 0) + 1
     assert by_len == {5: 12, 6: 10}
     for h in holes:
-        h.validate(g)
-    assert len({h.vertices for h in holes}) == 22
+        validate_hole(g, h)
+    assert len(set(holes)) == 22
 
 
 def test_enumerate_matches_oracle():
     rng = random.Random(31)
     for _ in range(40):
         g = random_graph(rng, rng.randrange(4, 10), rng.uniform(0.2, 0.6))
-        got = {h.vertex_set() for h in enumerate_holes(g)}
+        got = {frozenset(h) for h in enumerate_holes(g)}
         assert got == oracle_holes(g)
 
 
@@ -100,7 +93,7 @@ def test_min_len_below_four_rejected():
 def test_d_peripheral():
     # C4 plus a far-away triangle: chi of the exterior is 3
     g = Graph(7, cycle_graph(4) + [(4, 5), (5, 6), (4, 6)])
-    hole = Hole((0, 1, 2, 3))
+    hole = (0, 1, 2, 3)
     ok, exterior = is_d_peripheral(g, hole, 2)
     assert ok and exterior == frozenset({4, 5, 6})
     ok3, _ = is_d_peripheral(g, hole, 3)
@@ -112,7 +105,7 @@ def test_d_peripheral():
     # a negative d is refused, also where the exterior is empty
     c5 = Graph(5, cycle_graph(5))
     with pytest.raises(InputError):
-        is_d_peripheral(c5, Hole((0, 1, 2, 3, 4)), -1)
+        is_d_peripheral(c5, (0, 1, 2, 3, 4), -1)
     with pytest.raises(InputError):
         residue_coverage(c5, 3, d=-1)
 
@@ -123,7 +116,7 @@ def test_d_peripheral_matches_chromatic_number_of_exterior():
     for _ in range(25):
         g = random_graph(rng, rng.randrange(8, 14), rng.uniform(0.15, 0.35))
         for hole in list(enumerate_holes(g))[:6]:
-            exterior = frozenset(g.vertices()) - g.closed_neighborhood(hole.vertices)
+            exterior = frozenset(g.vertices()) - g.closed_neighborhood(hole)
             chi = chromatic_number(g.induced_subgraph(exterior)[0])[0]
             for d in range(0, 5):
                 ok, x = is_d_peripheral(g, hole, d)
@@ -144,11 +137,11 @@ def test_residue_coverage_with_d_matches_uncached_scan():
         for ell, d in ((3, 1), (4, 2), (5, 1)):
             want = {}
             for hole in enumerate_holes(g):
-                r = hole.residue(ell)
-                x = frozenset(g.vertices()) - g.closed_neighborhood(hole.vertices)
+                r = len(hole) % ell
+                x = frozenset(g.vertices()) - g.closed_neighborhood(hole)
                 if r not in want and chromatic_number(g.induced_subgraph(x)[0])[0] > d:
                     want[r] = hole
-            assert residue_coverage(g, ell, d=d).witnesses == want
+            assert residue_coverage(g, ell, d=d) == want
             found += len(want)
     assert found
 
@@ -156,12 +149,12 @@ def test_residue_coverage_with_d_matches_uncached_scan():
 def test_residue_coverage():
     g = petersen_graph()
     cov = residue_coverage(g, 3)
-    assert cov.covered == frozenset({2, 0})  # lengths 5 and 6
-    assert not cov.complete
-    assert cov.witnesses[2].length == 5
-    assert cov.witnesses[0].length == 6
+    assert cov.keys() == {2, 0}  # lengths 5 and 6
+    assert len(cov) != 3
+    assert len(cov[2]) == 5
+    assert len(cov[0]) == 6
     full = residue_coverage(g, 2)
-    assert full.complete and full.modulus == 2
+    assert len(full) == 2
     with pytest.raises(InputError):
         residue_coverage(g, 0)
 
@@ -171,19 +164,19 @@ def test_residue_coverage_with_peripherality():
     # 3-peripheral
     g = Graph(9, cycle_graph(4) + cycle_graph(5, offset=4))
     cov = residue_coverage(g, 4, d=2)
-    assert cov.witnesses[0].length == 4
-    assert 1 not in cov.covered  # the C5 exterior contains the C4, chi = 2
+    assert len(cov[0]) == 4
+    assert 1 not in cov  # the C5 exterior contains the C4, chi = 2
     cov3 = residue_coverage(g, 4, d=3)
-    assert cov3.covered == frozenset()
+    assert cov3.keys() == set()
 
 
 def test_anticomplete_hole_family():
     g = Graph(9, cycle_graph(4) + cycle_graph(5, offset=4))
     family = anticomplete_hole_family(g, [(0, 4), (1, 4)])
     assert family is not None
-    lengths = sorted(h.length for h in family)
+    lengths = sorted(len(h) for h in family)
     assert lengths == [4, 5]
-    assert g.is_anticomplete(family[0].vertices, family[1].vertices)
+    assert g.is_anticomplete(family[0], family[1])
     # two disjoint C4s cannot be found: only one 4-hole exists
     assert anticomplete_hole_family(g, [(0, 4), (0, 4)]) is None
     assert anticomplete_hole_family(g, []) == []
@@ -200,7 +193,7 @@ def test_anticomplete_family_budget_is_indeterminate():
     with pytest.raises(BudgetExceededError) as exc:
         anticomplete_hole_family(g, [(0, 4), (0, 4)], budget=Budget(20))
     assert str(exc.value) == "family search budget exceeded; existence undetermined"
-    assert [h.vertices for h in exc.value.partial] == [(0, 1, 2, 3)]
+    assert exc.value.partial == [(0, 1, 2, 3)]
 
 
 def test_consecutive_hole_pairs():
@@ -208,7 +201,7 @@ def test_consecutive_hole_pairs():
     pairs = consecutive_hole_pairs(g, 4)
     assert [t for t, _, _ in pairs] == [5]
     t, h5, h6 = pairs[0]
-    assert (h5.length, h6.length) == (5, 6)
+    assert (len(h5), len(h6)) == (5, 6)
     # threshold at or above the pair suppresses it
     assert consecutive_hole_pairs(g, 5) == []
     assert consecutive_hole_pairs(Graph(4, cycle_graph(4)), 4) == []

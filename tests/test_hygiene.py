@@ -6,11 +6,15 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
 
 import holelab
+from holelab.campaign import run_campaign
+from holelab.graph import Graph
+from holelab.io import CorpusEntry
 from holelab.kernels import _pycore
 
 PACKAGE = Path(holelab.__file__).parent
@@ -164,6 +168,20 @@ def test_perfbench_prune_hook_is_defined():
     ]
     assert len(hooks) == 1
     assert callable(getattr(_pycore, hooks[0], None))
+
+
+def test_perfbench_verdict_hook_reads_the_campaign_report():
+    """perfbench's tracer counts a traced campaign's entries by calling its
+    _count_verdicts on what run_campaign returns; a report without what
+    that hook reads must fail here and not in a traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    report = run_campaign("clique_parity", [CorpusEntry(0, Graph(3)), CorpusEntry(1, Graph(2))])
+    stat = tracer.Stat(tracer.Layer("campaign"))
+    tracer._count_verdicts(stat, report)
+    assert stat.items == 2
 
 
 def c_defines(text: str) -> dict[str, str]:

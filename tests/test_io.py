@@ -110,7 +110,6 @@ def test_parse_corpus_graph6(tmp_path):
     assert entries[0].graph == Graph(5, cycle_graph(5))
     assert entries[1].graph == complete_graph(4)
     assert entries[2].graph.n == 1
-    assert all(e.source_format == "graph6" for e in entries)
 
 
 def test_a_bare_graph6_header_takes_no_entry_id(tmp_path, capsys):

@@ -517,6 +517,30 @@ def test_enumerate_holes_charges_kernel_nodes(kernel, monkeypatch):
     assert budget.used == expected + counter[0] > expected
 
 
+def test_enumerate_holes_yields_the_kernel_stream(kernel, monkeypatch):
+    """enumerate_holes hands on the kernel's holes unchanged, each a tuple
+    of plain ints, with no budget and under budgets that cut the stream."""
+    import holelab.holes
+
+    monkeypatch.setattr(holelab.holes, "find_holes", kernel.find_holes)
+    cut = 0
+    for g in budget_graphs():
+        for lo, hi in BUDGET_WINDOWS:
+            full = trace(kernel.find_holes, g, lo, hi)
+            for limit in (None, *budgets_up_to(full[2])):
+                want = full if limit is None else budgeted(full, limit)
+                got = []
+                try:
+                    for hole in enumerate_holes(g, lo, hi, Budget(limit)):
+                        got.append(hole)
+                except BudgetExceededError as exc:
+                    assert exc.partial == len(got)
+                    cut += 1
+                assert got == [hole for hole, _ in want[0]]
+                assert all(type(h) is tuple and {type(v) for v in h} == {int} for h in got)
+    assert cut > 1000
+
+
 def test_hole_search_exhausts_a_shared_budget(kernel, monkeypatch):
     import holelab.holes
 

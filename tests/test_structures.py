@@ -7,6 +7,7 @@ from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, ChordError, InputError, RefinementError
 from holelab.gadgets import crest_gadget, multicover_gadget
 from holelab.graph import Graph, mask_of
+from holelab.holes import validate_hole
 from holelab.invariants import _chromatic_exceeds
 from holelab.structures import (
     Grading,
@@ -530,7 +531,8 @@ def test_shower_from_bfs_on_cycle():
 def test_shower_from_bfs_rejects_wrong_depth():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert shower_from_bfs(g, 0, 2, 3) is None  # drain not at distance 2
-    assert shower_from_bfs(g, 0, -1, 0) is None
+    with pytest.raises(InputError):
+        shower_from_bfs(g, 0, -1, 0)
 
 
 def test_shower_last_layer_restricted_to_drain_component():
@@ -646,8 +648,8 @@ def test_find_recirculator_and_close_hole():
     jets, _ = enumerate_jets(s, 3)
     assert jets == [(0, 1, 2)]
     hole = close_hole(jets[0], recirc, g)
-    assert hole.vertices == (0, 1, 2, 3, 4)
-    hole.validate(g)
+    assert hole == (0, 1, 2, 3, 4)
+    validate_hole(g, hole)
 
 
 def test_find_recirculator_none_without_exit():
