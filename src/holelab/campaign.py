@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .budget import Budget
+from .budget import EXHAUSTIVE_SUBSETS, Budget
 from .errors import BudgetExceededError, HolelabError, InputError
 from .graph import Graph
 from .holes import consecutive_hole_pairs, enumerate_holes, residue_coverage
-from .homology import EXHAUSTIVE_SUBSETS, independence_parity, is_k_balanced
+from .homology import independence_parity, is_k_balanced
 from .invariants import clique_number
 from .io import CorpusEntry
 

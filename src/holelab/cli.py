@@ -2,6 +2,13 @@
 
 Exit codes: 0 clean, 1 counterexample found, 2 input error, 3 a budget was
 exhausted somewhere. JSON output is deterministic for identical inputs.
+
+A subcommand imports only its own modules: this module loads the pieces
+every subcommand shares (budget, errors, graph, io) and the tables the
+parser needs, and each _cmd_* imports the library modules it runs when it
+runs, so `holelab holes` never loads structures, campaign or homology.
+`python -X importtime -m holelab.cli holes corpus.g6` shows what a run
+loads.
 """
 
 from __future__ import annotations
@@ -11,29 +18,11 @@ import json
 import sys
 from typing import Any, Callable
 
-from .budget import DEFAULT_NODE_BUDGET, Budget
-from .campaign import PREDICATES, report_as_dict, run_campaign
+from .budget import DEFAULT_NODE_BUDGET, EXHAUSTIVE_SUBSETS, Budget
 from .errors import BudgetExceededError, InputError
-from .gadgets import (
-    FAMILY_PARAMS,
-    crest_gadget,
-    findhole_gadget,
-    multicover_gadget,
-    standard_family,
-)
+from .gadgets import FAMILY_PARAMS
 from .graph import Graph
-from .holes import enumerate_holes, residue_coverage
-from .homology import EXHAUSTIVE_SUBSETS, betti_numbers, is_k_balanced
-from .invariants import _chromatic_with_clique, chi_rho, clique_number
 from .io import FORMATS, encode_graph6, parse_corpus, write_json
-from .structures import (
-    Multicover,
-    Shower,
-    enumerate_jets,
-    shower_from_bfs,
-    verify_multicover,
-    verify_shower,
-)
 
 EXIT_CLEAN = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -70,6 +59,8 @@ def _per_entry(args, fill: Callable[[dict, Graph, Budget], bool | None]) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from .invariants import _chromatic_with_clique, chi_rho, clique_number
+
     def fill(row: dict, g: Graph, budget: Budget) -> None:
         row["n"] = g.n
         try:
@@ -98,6 +89,7 @@ def _needs(args, option: str, *others: str) -> None:
 
 def _cmd_holes(args) -> int:
     _needs(args, "ell", "d")
+    from .holes import enumerate_holes, residue_coverage
 
     def fill(row: dict, g: Graph, budget: Budget) -> None:
         row["n"] = g.n
@@ -122,6 +114,8 @@ def _cmd_holes(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .homology import betti_numbers
+
     def fill(row: dict, g: Graph, budget: Budget) -> None:
         row["n"] = g.n
         rep = betti_numbers(g, budget)
@@ -138,6 +132,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_balance(args) -> int:
+    from .homology import is_k_balanced
+
     def fill(row: dict, g: Graph, budget: Budget) -> bool:
         row["k"] = args.k
         verdict = is_k_balanced(
@@ -160,9 +156,20 @@ def _cmd_balance(args) -> int:
 
 # the number of integer parameters each gadget kind takes
 GADGET_PARAMS = {"findhole": 4, "multicover": 3, "crest": 4, **FAMILY_PARAMS}
+# campaign.PREDICATES, restated so that the parser needs no campaign import;
+# tests/test_hygiene.py checks that the two agree
+PREDICATES = (
+    "kalai_balance",
+    "ternary_euler",
+    "clique_parity",
+    "hole_mod_coverage",
+    "consecutive_holes",
+)
 
 
 def _cmd_gadget(args) -> int:
+    from .gadgets import crest_gadget, findhole_gadget, multicover_gadget, standard_family
+
     if args.format == "dimacs":
         raise InputError("gadget writes graph6 or edgelist, not dimacs")
     if args.json_out:
@@ -204,6 +211,8 @@ def _entry_graph(args) -> Graph:
 
 def _cmd_shower(args) -> int:
     _needs(args, "jets", "ell", "d")
+    from .structures import Shower, enumerate_jets, shower_from_bfs, verify_shower
+
     if args.jets is not None:
         # on a one-vertex shower first: a jet argument the library rejects
         # is an input error whether or not the corpus gives a shower
@@ -263,6 +272,8 @@ def _read_witness(path: str) -> dict[str, Any]:
 
 
 def _cmd_structures(args) -> int:
+    from .structures import Multicover, verify_multicover
+
     mc = Multicover(host=_entry_graph(args), **_read_witness(args.witness))
     mc.host.check_set(mc.ground_set())  # a vertex out of range is an input error
     budget_error = None
@@ -286,6 +297,8 @@ def _cmd_structures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .campaign import report_as_dict, run_campaign
+
     corpus = list(parse_corpus(args.corpus, args.format))
     params: dict[str, Any] = {}
     for item in args.param:

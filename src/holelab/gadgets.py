@@ -1,13 +1,20 @@
-"""Explicit gadget constructions and standard test-substrate families."""
+"""Explicit gadget constructions and standard test-substrate families.
+
+The CLI's parser reads FAMILY_PARAMS, so this module imports no more than
+it must at load time: the multicover builders import structures, and the
+random family imports random, when they run.
+"""
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .graph import Graph
-from .structures import CrestData, Multicover
+
+if TYPE_CHECKING:
+    from .structures import CrestData, Multicover
 
 
 def findhole_gadget(ell: int, s1: int, s2: int, s3: int) -> Graph:
@@ -52,6 +59,8 @@ def multicover_gadget(
     exactly one vertex of every family (spread round-robin so each family
     covers C).
     """
+    from .structures import Multicover
+
     if min(len_x, n_size, c_size) < 1:
         raise InputError("all gadget sizes must be at least 1")
     edges = []
@@ -83,6 +92,8 @@ def crest_gadget(k: int, mc: Multicover) -> tuple[Graph, Multicover, CrestData]:
     demand. Returns the extended graph, the multicover re-hosted on it, and
     the crest data.
     """
+    from .structures import CrestData, Multicover
+
     if k < 1:
         raise InputError("crest size must be at least 1")
     g = mc.host
@@ -148,6 +159,8 @@ def standard_family(kind: str, *params: int, seed: int = 0) -> Graph:
         return Graph(n, list(combinations(range(n), 2)))
     if kind == "complete_bipartite":
         a, b = params
+        if min(a, b) < 0:
+            raise InputError("part sizes must be nonnegative")
         return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
     if kind == "petersen":
         return standard_family("kneser", 5, 2)
@@ -174,6 +187,8 @@ def standard_family(kind: str, *params: int, seed: int = 0) -> Graph:
     n, percent = params  # random
     if not 0 <= percent <= 100:
         raise InputError("edge probability percent must be in 0..100")
+    import random
+
     rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
     edges = [
         (u, v)

@@ -56,7 +56,7 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Callable, Iterable
 
-from .budget import Budget, ensure_budget
+from .budget import EXHAUSTIVE_SUBSETS, Budget, ensure_budget
 from .errors import BudgetExceededError, InputError, budget_message
 from .graph import Graph, bits, mask_of, reach
 
@@ -69,9 +69,6 @@ BITS_PER_NODE = 160
 # products save, and on sparse graphs of 40 to 60 vertices it cuts the memo
 # by a factor of 8 to over 10^4
 SPLIT_ABOVE = 7
-# is_k_balanced's default subgraph budget: graphs on at most 20 vertices get
-# the exhaustive check, larger ones a sampled one
-EXHAUSTIVE_SUBSETS = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .errors import InputError
 from .graph import Graph, graph_from_edges
@@ -23,8 +22,7 @@ from .graph import Graph, graph_from_edges
 FORMATS = ("graph6", "edgelist", "dimacs")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One parsed graph and its entry id in the source file."""
 
     id: int
@@ -123,6 +121,8 @@ def _parse_edgelist(lines: list[tuple[int, str]]) -> Graph:
             raise InputError(f"line {lineno}: non-integer vertex") from None
         if u < 0 or v < 0:
             raise InputError(f"line {lineno}: negative vertex index")
+        if u == v:
+            raise InputError(f"line {lineno}: self-loop at vertex {u}")
         edges.append((u, v))
     return graph_from_edges(edges)
 
@@ -156,6 +156,8 @@ def _parse_dimacs(lines: list[tuple[int, str]]) -> Graph:
             u, v = _ints(lineno, parts[1:])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"line {lineno}: vertex out of range")
+            if u == v:  # named as the file numbers it, from 1
+                raise InputError(f"line {lineno}: self-loop at vertex {u}")
             edges.append((u - 1, v - 1))
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")

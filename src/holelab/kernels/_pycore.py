@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -160,7 +159,6 @@ def _completion_feasible(
     return False
 
 
-@dataclass(slots=True)
 class _Contraction:
     """The chain contraction of the residual graph `live`, in which the
     vertices of `forced` (start and anchor) are branch vertices whatever
@@ -178,13 +176,25 @@ class _Contraction:
     weight.
     """
 
-    live: int
-    forced: int
-    branch: int
-    moves: dict[int, dict[int, int]]
-    extra: dict[tuple[int, int, int], int]
-    odd: list[tuple[int, int, int, int]]
-    evens: dict[int, int]
+    __slots__ = ("live", "forced", "branch", "moves", "extra", "odd", "evens")
+
+    def __init__(
+        self,
+        live: int,
+        forced: int,
+        branch: int,
+        moves: dict[int, dict[int, int]],
+        extra: dict[tuple[int, int, int], int],
+        odd: list[tuple[int, int, int, int]],
+        evens: dict[int, int],
+    ):
+        self.live = live
+        self.forced = forced
+        self.branch = branch
+        self.moves = moves
+        self.extra = extra
+        self.odd = odd
+        self.evens = evens
 
 
 def _branch_vertices(adj: Sequence[int], live: int, forced: int) -> int:

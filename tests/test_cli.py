@@ -111,6 +111,50 @@ def test_homology_default_budget_within_address_space_limit(corpus):
         assert row["euler_unreduced"] == sum((-1) ** i * b for i, b in enumerate(row["betti"]))
 
 
+# modules that a bare import of holelab.cli must not load: those of the
+# subcommands, and dataclasses, which holes runs without
+SUBCOMMAND_MODULES = {
+    "holelab.campaign",
+    "holelab.holes",
+    "holelab.homology",
+    "holelab.invariants",
+    "holelab.kernels",
+    "holelab.structures",
+    "dataclasses",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ([], SUBCOMMAND_MODULES),
+        (["holes", "{c}"], {"holelab.structures", "holelab.campaign", "holelab.homology", "dataclasses"}),
+        (["invariants", "{c}"], {"holelab.structures", "holelab.campaign"}),
+        (["homology", "{c}"], {"holelab.structures", "holelab.campaign"}),
+        (["gadget", "cycle", "5"], SUBCOMMAND_MODULES),
+    ],
+    ids=["bare-import", "holes", "invariants", "homology", "gadget"],
+)
+def test_a_subcommand_imports_only_its_own_modules(corpus, argv, unloaded):
+    """Run in a fresh interpreter without site (which may import anything),
+    the subcommand leaves none of `unloaded` in sys.modules."""
+    path = corpus(Graph(5, cycle_graph(5)), Graph(4))
+    code = (
+        "import sys\nfrom holelab import cli\n"
+        "if sys.argv[1:]:\n    cli.main(sys.argv[1:])\n"
+        "print(*sorted(sys.modules), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(holelab.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, *(a.format(c=path) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == EXIT_CLEAN, run.stderr
+    loaded = set(run.stderr.split())
+    assert "holelab.cli" in loaded
+    assert not loaded & unloaded
+
+
 def crown_and_path(extra: int = 0) -> Graph:
     """The crown graph S_4 with interleaved indices (2i ~ 2j+1 for i != j),
     which greedy colouring by degree gives four colours (omega = 2), a path
@@ -515,6 +559,10 @@ MALFORMED = [
     pytest.param("--format dimacs gadget cycle 5", None, id="gadget-format-dimacs"),
     pytest.param("--json-out {missing} gadget cycle 5", None, id="gadget-json-out"),
     pytest.param("gadget cycle 2", None, id="gadget-value"),
+    pytest.param("gadget complete_bipartite -1 2", None, id="gadget-part"),
+    # a self-loop is refused on its own line, in the file's numbering
+    pytest.param("--format edgelist holes {loop_edges}", None, id="edgelist-self-loop"),
+    pytest.param("--format dimacs holes {loop_col}", None, id="dimacs-self-loop"),
     pytest.param("--budget-nodes -1 holes {ok}", None, id="budget-nodes"),
 ]
 
@@ -528,6 +576,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, case_witness):
         "witness": ("witness.json", json.dumps(WITNESS)),
         "w": ("w.json", json.dumps(case_witness)),
         "empty": ("empty.g6", ""),
+        "loop_edges": ("loop.edges", "0 1\n2 2\n"),
+        "loop_col": ("loop.col", "p edge 3 2\ne 1 2\ne 3 3\n"),
     }
     paths = {"missing": str(tmp_path / "missing.g6")}
     for key, (name, text) in files.items():

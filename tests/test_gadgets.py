@@ -117,3 +117,15 @@ def test_family_refuses_a_wrong_parameter_count():
                 standard_family(kind, *[5] * count)
     with pytest.raises(InputError, match="unknown family kind"):
         standard_family("wheel", 5)
+
+
+def test_family_refuses_a_negative_size():
+    for kind, params in [
+        ("complete", (-2,)),
+        ("complete_bipartite", (-1, 2)),
+        ("complete_bipartite", (2, -1)),
+    ]:
+        with pytest.raises(InputError):
+            standard_family(kind, *params)
+    empty_part = standard_family("complete_bipartite", 0, 2)
+    assert (empty_part.n, empty_part.edge_count) == (2, 0)

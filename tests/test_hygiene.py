@@ -206,6 +206,26 @@ def test_the_check_reads_c_defines():
     assert c_defines(text) == {"A": "6", "B": "64", "E": "1"}
 
 
+def test_the_parser_tables_agree_with_their_owners():
+    """The parser builds without importing a subcommand's modules, so it
+    restates the verify predicates and takes the gadget kinds and the
+    subgraph budget from light modules; these must equal what the
+    subcommands run."""
+    from holelab import budget, campaign, cli, gadgets, homology
+
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    option = {
+        name: {action.dest: action for action in sub._actions}
+        for name, sub in commands.items()
+    }
+    assert tuple(option["verify"]["predicate"].choices) == campaign.PREDICATES
+    assert option["gadget"]["kind"].choices == list(cli.GADGET_PARAMS)
+    assert gadgets.FAMILY_PARAMS.items() <= cli.GADGET_PARAMS.items()
+    subsets = inspect.signature(homology.is_k_balanced).parameters["subgraph_budget"]
+    assert option["balance"]["subgraph_budget"].default == subsets.default
+    assert subsets.default is budget.EXHAUSTIVE_SUBSETS
+
+
 def public_functions(module) -> set[str]:
     """The public functions a module defines or lists in __all__, and the
     public methods of the public classes it defines."""

@@ -144,6 +144,9 @@ def test_parse_corpus_edgelist(tmp_path):
     with pytest.raises(InputError) as exc:
         list(parse_corpus(str(bad), "edgelist"))
     assert "line 2" in str(exc.value)
+    bad.write_text("0 1\n\n2 2\n")
+    with pytest.raises(InputError, match="^line 3: self-loop at vertex 2$"):
+        list(parse_corpus(str(bad), "edgelist"))
 
 
 def test_parse_corpus_dimacs(tmp_path):
@@ -165,6 +168,10 @@ def test_parse_corpus_dimacs(tmp_path):
         bad3.write_text(text)
         with pytest.raises(InputError, match="non-integer"):
             list(parse_corpus(str(bad3), "dimacs"))
+    # named by its line and in the file's numbering, from 1
+    bad.write_text("p edge 3 2\ne 1 2\ne 3 3\n")
+    with pytest.raises(InputError, match="^line 3: self-loop at vertex 3$"):
+        list(parse_corpus(str(bad), "dimacs"))
 
 
 def test_dimacs_counts_a_repeated_edge_once(tmp_path):
