@@ -167,7 +167,7 @@ def _check_hole_mod_coverage(
         "covered": sorted(cov),
         "witness_lengths": {str(r): len(cov[r]) for r in sorted(cov)},
     }
-    missing = [r % ell for r in opts["require"] if r % ell not in cov]
+    missing = {r % ell for r in opts["require"]} - cov.keys()
     if missing:
         detail["missing"] = sorted(missing)
         return False, detail

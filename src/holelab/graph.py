@@ -29,7 +29,10 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        adj = [0] * n
+        try:
+            adj = [0] * n
+        except (MemoryError, OverflowError):
+            raise InputError(f"vertex count {n} does not fit in memory") from None
         count = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -77,29 +77,30 @@ def enumerate_holes(
     budget.used when the stream ends, is closed, or raises; a budget shared
     with other searches then trips at its next tick. On budget exhaustion
     raises BudgetExceededError; holes already yielded remain valid partial
-    results.
+    results. The kernel only counts: it ends the stream at node
+    budget.remaining + 1, and the error is raised here.
     """
     if min_len < 4:
         raise InputError("minimum hole length is 4")
     budget = ensure_budget(budget)
+    limit = budget.remaining
     nodes = [0]
     stream = find_holes(
-        g.adjacency_masks(), g.n, min_len, max_len, budget.remaining,
-        counter=nodes,
+        g.adjacency_masks(), g.n, min_len, max_len, limit, counter=nodes
     )
     count = 0
     try:
         for hole in stream:
             count += 1
             yield hole
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            str(exc), partial=count
-        ) from exc
     finally:
         # no tick here: an error raised while a dropped generator closes
         # would only be printed
         budget.used += nodes[0]
+    if limit is not None and nodes[0] > limit:
+        raise BudgetExceededError(
+            f"hole search exceeded budget of {limit} nodes", partial=count
+        )
 
 
 def is_d_peripheral(

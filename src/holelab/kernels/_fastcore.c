@@ -13,6 +13,15 @@ subset bit i (for i < MAX_TRACKED_ODD), and both gate the same residual
 graphs with the same GATE_RATIO. A gate accept need not be the sweep's
 verdict, so the kernels agree node for node only while they gate alike.
 
+The kernel only counts; it never raises over a budget. counter[0] holds
+the DFS nodes made so far whenever control leaves the kernel, and a search
+that makes node budget + 1 stores that count and ends the stream. The
+caller (holes.enumerate_holes) reads the overrun off the counter and raises
+the budget error, so the module needs no Python package. A budget that is
+negative or comes without a counter is refused with ValueError before any
+node. min_len, max_len and budget may be ints of any size: they are clamped
+as the pure kernel's comparisons treat them.
+
 Build by hand (setup.py does the same through setuptools):
 
     cc -O2 -shared -fPIC -I<python include dir> _fastcore.c \
@@ -325,20 +334,6 @@ static int report_nodes(HoleSearch *s)
     return rc;
 }
 
-static PyObject *budget_exceeded(HoleSearch *s)
-{
-    /* imported here, not at module load, so that loading the module
-       never imports the holelab package */
-    PyObject *errors = PyImport_ImportModule("holelab.errors"), *exc = NULL;
-    if (errors != NULL)
-        exc = PyObject_GetAttrString(errors, "BudgetExceededError");
-    if (exc != NULL)
-        PyErr_Format(exc, "hole search exceeded budget of %lld nodes", s->budget);
-    Py_XDECREF(errors);
-    Py_XDECREF(exc);
-    return NULL;
-}
-
 static PyObject *hs_next(HoleSearch *s)
 {
     int nw = s->nw;
@@ -383,9 +378,8 @@ static PyObject *hs_next(HoleSearch *s)
         s->nodes++;
         if (s->budget >= 0 && s->nodes > s->budget) {
             s->exhausted = 1;
-            if (report_nodes(s) < 0)
-                return NULL;
-            return budget_exceeded(s);
+            report_nodes(s);
+            return NULL;
         }
         int new_depth = s->depth + 1;
         frame = s->banned + s->depth * nw;
@@ -472,40 +466,55 @@ static long long load_masks(HoleSearch *s, PyObject *masks)
     return PyErr_Occurred() ? -1 : bits;
 }
 
+/* Read an int argument clamped to [lo, hi], so that one too large for a
+   long long reads as hi and one too small as lo, as a Python int compares;
+   -1 with an exception set if it is not an int. */
+static int clamped(PyObject *arg, long long lo, long long hi, long long *value)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *value = overflow > 0 || v > hi ? hi : overflow < 0 || v < lo ? lo : v;
+    return 0;
+}
+
 static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"adj", "n", "min_len", "max_len", "budget", "counter", NULL};
-    PyObject *masks, *max_len = Py_None, *budget = Py_None, *counter = Py_None;
-    int n, min_len = 4;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oi|iOOO:find_holes", kwlist,
+    PyObject *masks, *min_len = NULL, *max_len = Py_None, *budget = Py_None, *counter = Py_None;
+    int n;
+    long long lo = 4, hi = -1, limit = -1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oi|OOOO:find_holes", kwlist,
                                      &masks, &n, &min_len, &max_len, &budget, &counter))
         return NULL;
+    n = n > 0 ? n : 0;  /* like range(n) in the pure kernel */
+    /* no hole is shorter than 4 or longer than the graph; a budget too
+       large for a long long is never reached */
+    if ((min_len != NULL && clamped(min_len, 4, n + 1LL, &lo) < 0)
+        || (max_len != Py_None && clamped(max_len, -1, n, &hi) < 0)
+        || (budget != Py_None && clamped(budget, -1, LLONG_MAX, &limit) < 0))
+        return NULL;
+    if (budget != Py_None && (limit < 0 || counter == Py_None)) {
+        PyErr_SetString(PyExc_ValueError, limit < 0 ? "find_holes budget must be nonnegative"
+                                                    : "find_holes budget needs a counter");
+        return NULL;
+    }
     HoleSearch *s = PyObject_New(HoleSearch, &HoleSearchType);
     if (s == NULL)
         return NULL;
     memset((char *)s + sizeof(PyObject), 0, sizeof(HoleSearch) - sizeof(PyObject));
-    s->n = n = n > 0 ? n : 0;  /* like range(n) in the pure kernel */
+    s->n = n;
     s->nw = n > 0 ? (n + 63) >> 6 : 1;
-    s->min_len = min_len > 4 ? min_len : 4;
+    s->min_len = (int)lo;
     s->has_max = max_len != Py_None;
-    s->budget = -1;
+    s->max_len = (int)hi;
+    s->budget = limit;
     s->anchor = -1;
     s->reported = -1;
     if (counter != Py_None) {
         Py_INCREF(counter);
         s->counter = counter;
-    }
-    if (s->has_max) {
-        long ml = PyLong_AsLong(max_len);
-        if (ml == -1 && PyErr_Occurred())
-            goto fail;
-        /* no hole can be longer than the graph */
-        s->max_len = ml > n ? n : ml < 0 ? -1 : (int)ml;
-    }
-    if (budget != Py_None) {
-        s->budget = PyLong_AsLongLong(budget);
-        if (s->budget == -1 && PyErr_Occurred())
-            goto fail;
     }
     s->exhausted = s->has_max && s->max_len < s->min_len;
     size_t nw = s->nw, rows = n > 0 ? n : 1, cap = n + 2;

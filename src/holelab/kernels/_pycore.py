@@ -67,6 +67,10 @@ for each call that reaches the sweep. So the two kernels give the same
 verdicts and agree hole for hole and DFS node for DFS node. This kernel is
 the compiled one's fallback where no C compiler is present, and its oracle
 in the tests.
+
+Both kernels only count. They report DFS nodes through the caller's
+`counter` and end the stream, raising nothing, at the node past their
+budget; holes.enumerate_holes raises the budget error (see find_holes).
 """
 
 from __future__ import annotations
@@ -75,8 +79,6 @@ import sys
 from bisect import bisect_left, insort
 from math import gcd
 from typing import Iterator, Sequence
-
-from ..errors import BudgetExceededError
 
 IMPLEMENTATION = "pure"
 
@@ -568,13 +570,17 @@ def find_holes(
 ) -> Iterator[tuple[int, ...]]:
     """Yield each hole of the graph once, canonically oriented.
 
-    adj: per-vertex neighbor bitmasks of a loopless graph. budget: maximum
-    number of DFS extensions before raising BudgetExceededError (partial
-    results already yielded remain valid). counter: a one-item list;
-    whenever the kernel hands control back (a hole, the end of the stream,
-    the budget error) counter[0] holds the number of DFS extensions made so
-    far, so a caller can charge them to its own budget. The compiled kernel
-    takes the same arguments and counts the same extensions.
+    adj: per-vertex neighbor bitmasks of a loopless graph. counter: a
+    one-item list; whenever the kernel hands control back (a hole, the end
+    of the stream) counter[0] holds the number of DFS extensions made so
+    far, so a caller can charge them to its own budget. budget: the number
+    of DFS extensions allowed. The kernel only counts: the extension past
+    the budget ends the stream with counter[0] == budget + 1 and raises
+    nothing, so the caller tells exhaustion from the counter (holes already
+    yielded remain valid). A budget that is negative or comes without a
+    counter raises ValueError before any extension. The compiled kernel
+    takes the same arguments, ints of any size included, and counts the
+    same extensions.
 
     The frame of the path's end lives in locals: `ext`, the children still
     to try; `allowed`, the vertices greater than the anchor that are
@@ -588,7 +594,11 @@ def find_holes(
     increasing order of the closing vertex, and before its own children
     are tried.
     """
+    if budget is not None and budget < 0:
+        raise ValueError("find_holes budget must be nonnegative")
     if counter is None:
+        if budget is not None:
+            raise ValueError("find_holes budget needs a counter")
         counter = [0]
     if min_len < 4:
         min_len = 4
@@ -631,9 +641,7 @@ def find_holes(
             nodes += 1
             if nodes > limit:
                 counter[0] = nodes
-                raise BudgetExceededError(
-                    f"hole search exceeded budget of {budget} nodes"
-                )
+                return
             adj_u = adj[u]
             ext_new = adj_u & extend
             if ext_new and windowed:

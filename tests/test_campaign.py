@@ -88,6 +88,9 @@ def test_hole_mod_coverage_require():
     bad = run_campaign("hole_mod_coverage", corpus, {"ell": 3, "require": [1]})
     assert not bad.clean
     assert bad.counterexamples[0].detail["missing"] == [1]
+    # each missing residue is listed once, however often require names it
+    repeated = run_campaign("hole_mod_coverage", corpus, {"ell": 3, "require": [1, 4, 7]})
+    assert repeated.counterexamples[0].detail["missing"] == [1]
 
 
 def test_consecutive_holes_require_pair():

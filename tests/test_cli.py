@@ -564,6 +564,9 @@ MALFORMED = [
     pytest.param("--format edgelist holes {loop_edges}", None, id="edgelist-self-loop"),
     pytest.param("--format dimacs holes {loop_col}", None, id="dimacs-self-loop"),
     pytest.param("--budget-nodes -1 holes {ok}", None, id="budget-nodes"),
+    # a vertex count that no machine holds; counts near 10^9 might allocate
+    pytest.param("--format edgelist holes {huge_edges}", None, id="edgelist-huge-n"),
+    pytest.param("--format dimacs holes {huge_col}", None, id="dimacs-huge-n"),
 ]
 
 
@@ -578,6 +581,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, case_witness):
         "empty": ("empty.g6", ""),
         "loop_edges": ("loop.edges", "0 1\n2 2\n"),
         "loop_col": ("loop.col", "p edge 3 2\ne 1 2\ne 3 3\n"),
+        "huge_edges": ("huge.edges", "0 99999999999\n"),
+        "huge_col": ("huge.col", "p edge 99999999999 0\n"),
     }
     paths = {"missing": str(tmp_path / "missing.g6")}
     for key, (name, text) in files.items():

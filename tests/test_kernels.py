@@ -28,8 +28,8 @@ def kernel(request):
     return request.getfixturevalue("fastcore")
 
 
-def holes_of(kernel, g, min_len=4, max_len=None, budget=None):
-    return list(kernel.find_holes(g.adjacency_masks(), g.n, min_len, max_len, budget))
+def holes_of(kernel, g, min_len=4, max_len=None):
+    return list(kernel.find_holes(g.adjacency_masks(), g.n, min_len, max_len))
 
 
 def node_count(kernel, g, min_len=4, max_len=None):
@@ -102,10 +102,65 @@ def test_streams_identical_across_kernels(fastcore):
             assert holes_of(_pycore, g, lo, hi) == holes_of(fastcore, g, lo, hi)
 
 
-def test_budget_exhaustion_raises(kernel):
+def test_budget_exhaustion_ends_the_stream(kernel):
+    """The node past the budget ends the stream with no error, counted in
+    counter[0]; a budget that is negative or comes without a counter is
+    refused before any node."""
     g = petersen_graph()
-    with pytest.raises(BudgetExceededError):
-        list(kernel.find_holes(g.adjacency_masks(), g.n, 4, None, 3))
+    counter = [0]
+    stopped = list(kernel.find_holes(g.adjacency_masks(), g.n, 4, None, 3, counter))
+    assert counter[0] == 4
+    assert stopped == holes_of(kernel, g)[: len(stopped)]
+    for budget, counter in ((-1, [7]), (-(10**30), [7]), (3, None)):
+        with pytest.raises(ValueError):
+            list(kernel.find_holes(g.adjacency_masks(), g.n, 4, None, budget, counter))
+        assert counter is None or counter == [7]  # no node was counted
+
+
+# (min_len, max_len, budget) beyond any machine integer, on the Petersen
+# graph as `gadget petersen` builds it, with the holes and nodes they give
+HUGE_ARGUMENTS = [
+    pytest.param((10**11, None, None), 0, 77, id="min-len-1e11"),
+    pytest.param((5, 10**20, None), 22, 77, id="max-len-1e20"),
+    pytest.param((4, -(10**20), None), 0, 0, id="max-len-minus-1e20"),
+    pytest.param((-(10**20), None, 10**23), 22, 77, id="budget-1e23"),
+    pytest.param((4, 2**63, 2**63), 22, 77, id="budget-2e63"),
+    pytest.param((4, None, 2**63 - 1), 22, 77, id="budget-2e63-less-1"),
+]
+
+
+@pytest.mark.parametrize("args, holes, nodes", HUGE_ARGUMENTS)
+def test_out_of_range_arguments_are_clamped(kernel, args, holes, nodes):
+    """Both kernels read min_len, max_len and budget as ints of any size: a
+    length window is clamped to [4, n] and a budget past 2^63 never runs
+    out."""
+    g = standard_family("kneser", 5, 2)
+    counter = [0]
+    got = list(kernel.find_holes(g.adjacency_masks(), g.n, *args, counter))
+    assert (len(got), counter[0]) == (holes, nodes)
+    lo, hi = args[0], args[1] if args[1] is not None else g.n
+    assert got == [h for h in holes_of(kernel, g) if lo <= len(h) <= hi]
+
+
+def test_compiled_kernel_needs_no_python_package(fastcore):
+    """The compiled kernel runs budgeted searches to exhaustion with
+    holelab.errors unimportable: it only counts."""
+    g = petersen_graph()
+    total = node_count(fastcore, g)
+    code = (
+        "import importlib.util, sys\n"
+        "sys.modules['holelab.errors'] = None\n"
+        f"spec = importlib.util.spec_from_file_location('_fastcore', {fastcore.__file__!r})\n"
+        "fastcore = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(fastcore)\n"
+        "counter = [0]\n"
+        f"for budget in (0, {total // 2}, {total - 1}):\n"
+        f"    list(fastcore.find_holes({g.adjacency_masks()!r}, {g.n}, 4, None, budget, counter))\n"
+        "    assert counter[0] == budget + 1, counter\n"
+        "print('ok')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout == "ok\n", out.stderr
 
 
 def test_trivial_graphs(kernel):
@@ -178,7 +233,7 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
             holes_of(_pycore, g, lo, hi)
     on_graphs = len(calls)
     gadget = findhole_gadget(24, 2, 2, 4)
-    search = _pycore.find_holes(gadget.adjacency_masks(), gadget.n, 24, 24, 10_000)
+    search = _pycore.find_holes(gadget.adjacency_masks(), gadget.n, 24, 24, 10_000, [0])
     assert len(next(search)) == 24
     verdicts = [verdict for *_, verdict in calls]
     assert (len(verdicts), verdicts.count(False)) == (6765, 2664)
@@ -374,7 +429,7 @@ def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=N
             nodes += 1
             if budget is not None and nodes > budget:
                 counter[0] = nodes
-                raise BudgetExceededError(f"hole search exceeded budget of {budget} nodes")
+                return
             new_depth = depth + 1
             if depth >= 2:
                 banned = banned_stack[-1] | adj[path[-1]] | u_bit
@@ -406,16 +461,13 @@ def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=N
 
 
 def trace(find_holes, g, min_len, max_len, budget=None):
-    """Each hole with counter[0] as it is handed back, then how the search
-    ended (the budget error's message, or None) and the final counter."""
+    """Each hole with counter[0] as it is handed back, then the final
+    counter, which exceeds the budget where the budget stopped the search."""
     counter = [0]
     out = []
-    try:
-        for hole in find_holes(g.adjacency_masks(), g.n, min_len, max_len, budget, counter):
-            out.append((hole, counter[0]))
-    except BudgetExceededError as exc:
-        return out, str(exc), counter[0]
-    return out, None, counter[0]
+    for hole in find_holes(g.adjacency_masks(), g.n, min_len, max_len, budget, counter):
+        out.append((hole, counter[0]))
+    return out, counter[0]
 
 
 ALL_WINDOWS = BUDGET_WINDOWS + PRUNE_WINDOWS
@@ -440,19 +492,18 @@ def budgets_up_to(total):
 def budgeted(full, budget):
     """The trace of a search under a node budget, read off the trace of the
     same search without one: the holes handed back by node `budget`, then
-    the budget error at node budget + 1."""
-    holes, _, total = full
+    the stop at node budget + 1."""
+    holes, total = full
     if budget >= total:
         return full
-    message = f"hole search exceeded budget of {budget} nodes"
-    return [(hole, at) for hole, at in holes if at <= budget], message, budget + 1
+    return [(hole, at) for hole, at in holes if at <= budget], budget + 1
 
 
 def test_reference_loop_stops_where_budgeted_says():
     for g in budget_graphs():
         for lo, hi in ALL_WINDOWS:
             full = trace(reference_find_holes, g, lo, hi)
-            for budget in range(full[2] + 1):
+            for budget in range(full[1] + 1):
                 assert trace(reference_find_holes, g, lo, hi, budget) == budgeted(full, budget)
 
 
@@ -463,10 +514,10 @@ def test_loop_matches_reference_loop(corpus_le7):
     for g, lo, hi in loop_cases(corpus_le7):
         full = trace(reference_find_holes, g, lo, hi)
         assert trace(_pycore.find_holes, g, lo, hi) == full
-        for budget in budgets_up_to(full[2]):
+        for budget in budgets_up_to(full[1]):
             got = trace(_pycore.find_holes, g, lo, hi, budget)
             assert got == budgeted(full, budget)
-            stopped += got[1] is not None
+            stopped += got[1] > budget
     assert stopped > 100_000
 
 
@@ -476,7 +527,7 @@ def test_node_counts_identical_across_kernels(fastcore, corpus_le7):
     for g, lo, hi in loop_cases(corpus_le7):
         pure = trace(_pycore.find_holes, g, lo, hi)
         assert trace(fastcore.find_holes, g, lo, hi) == pure
-        for budget in budgets_up_to(pure[2]):
+        for budget in budgets_up_to(pure[1]):
             assert trace(fastcore.find_holes, g, lo, hi, budget) == budgeted(pure, budget)
     # Myc4's windows, where the gate settles most of the calls the BFS
     # leaves open
@@ -484,7 +535,7 @@ def test_node_counts_identical_across_kernels(fastcore, corpus_le7):
     for lo, hi in MYC4_WINDOWS:
         pure = trace(_pycore.find_holes, myc4, lo, hi)
         assert trace(fastcore.find_holes, myc4, lo, hi) == pure
-        total = pure[2]
+        total = pure[1]
         for budget in (0, 1, total // 3, total // 2, total - 1, total):
             assert trace(fastcore.find_holes, myc4, lo, hi, budget) == budgeted(pure, budget)
     # first hits on findhole gadgets, as the windowed first-hit jobs make
@@ -527,15 +578,19 @@ def test_enumerate_holes_yields_the_kernel_stream(kernel, monkeypatch):
     for g in budget_graphs():
         for lo, hi in BUDGET_WINDOWS:
             full = trace(kernel.find_holes, g, lo, hi)
-            for limit in (None, *budgets_up_to(full[2])):
+            for limit in (None, *budgets_up_to(full[1])):
                 want = full if limit is None else budgeted(full, limit)
                 got = []
                 try:
                     for hole in enumerate_holes(g, lo, hi, Budget(limit)):
                         got.append(hole)
                 except BudgetExceededError as exc:
+                    assert str(exc) == f"hole search exceeded budget of {limit} nodes"
                     assert exc.partial == len(got)
+                    assert want[1] > limit
                     cut += 1
+                else:
+                    assert limit is None or want[1] <= limit
                 assert got == [hole for hole, _ in want[0]]
                 assert all(type(h) is tuple and {type(v) for v in h} == {int} for h in got)
     assert cut > 1000
@@ -546,10 +601,9 @@ def test_hole_search_exhausts_a_shared_budget(kernel, monkeypatch):
 
     monkeypatch.setattr(holelab.holes, "find_holes", kernel.find_holes)
     g = petersen_graph()
-    before_budget = []
-    with pytest.raises(BudgetExceededError):
-        for hole in kernel.find_holes(g.adjacency_masks(), g.n, 4, None, 30):
-            before_budget.append(hole)
+    counter = [0]
+    before_budget = list(kernel.find_holes(g.adjacency_masks(), g.n, 4, None, 30, counter))
+    assert counter[0] == 31
     budget = Budget(50)
     budget.tick(20)
     with pytest.raises(BudgetExceededError) as info:
