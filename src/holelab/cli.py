@@ -20,9 +20,8 @@ from typing import Any, Callable
 
 from .budget import DEFAULT_NODE_BUDGET, EXHAUSTIVE_SUBSETS, Budget
 from .errors import BudgetExceededError, InputError
-from .gadgets import FAMILY_PARAMS
 from .graph import Graph
-from .io import FORMATS, encode_graph6, parse_corpus, write_json
+from .io import FORMATS, JsonIntLists, encode_graph6, parse_corpus, write_json
 
 EXIT_CLEAN = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -106,7 +105,9 @@ def _cmd_holes(args) -> int:
             row["covered"] = sorted(cov)
             row["witnesses"] = {str(r): cov[r] for r in sorted(cov)}
         else:
-            holes = list(enumerate_holes(g, args.min_len, args.max_len, budget))
+            holes = JsonIntLists(
+                enumerate_holes(g, args.min_len, args.max_len, budget), g.n
+            )
             row["holes"] = holes
             row["count"] = len(holes)
 
@@ -154,10 +155,22 @@ def _cmd_balance(args) -> int:
     return _per_entry(args, fill)
 
 
-# the number of integer parameters each gadget kind takes
-GADGET_PARAMS = {"findhole": 4, "multicover": 3, "crest": 4, **FAMILY_PARAMS}
-# campaign.PREDICATES, restated so that the parser needs no campaign import;
-# tests/test_hygiene.py checks that the two agree
+# the number of integer parameters each gadget kind takes: the builders',
+# then gadgets.FAMILY_PARAMS restated, and campaign.PREDICATES restated, so
+# that the parser imports neither module; tests/test_hygiene.py checks that
+# these agree with their owners
+GADGET_PARAMS = {
+    "findhole": 4,
+    "multicover": 3,
+    "crest": 4,
+    "cycle": 1,
+    "complete": 1,
+    "complete_bipartite": 2,
+    "petersen": 0,
+    "mycielski_iterate": 1,
+    "kneser": 2,
+    "random": 2,
+}
 PREDICATES = (
     "kalai_balance",
     "ternary_euler",

@@ -14,7 +14,6 @@ from typing import Iterator, Sequence
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, ChordError, InputError
 from .graph import Graph, mask_of
-from .invariants import _chromatic_exceeds
 from .kernels import find_holes
 
 Hole = tuple[int, ...]  # a hole's vertices in canonical order
@@ -115,6 +114,8 @@ def is_d_peripheral(
     """
     if d < 0:
         raise InputError("d must be nonnegative")
+    from .invariants import _chromatic_exceeds
+
     validate_hole(g, h)
     exterior = _exterior(g, h)
     return _chromatic_exceeds(g, exterior, d, budget), exterior
@@ -144,6 +145,9 @@ def residue_coverage(
         raise InputError("modulus must be at least 1")
     if d is not None and d < 0:
         raise InputError("d must be nonnegative")
+    if d is not None:
+        # colouring is loaded only where a hole's exterior is tested
+        from .invariants import _chromatic_exceeds
     budget = ensure_budget(budget)
     witnesses: dict[int, Hole] = {}
     peripheral: dict[frozenset[int], bool] = {}  # exterior -> chi > d

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError
 from .graph import Graph, graph_from_edges
@@ -210,11 +210,34 @@ def parse_corpus(path: str, format: str) -> Iterator[CorpusEntry]:
 # The bytes are those of json.dumps(payload, indent=2). With an indent the
 # stdlib leaves its C encoder for a Python one that handles every int
 # apart; this one encodes the values reports hold (str keys, strs, plain
-# ints, bools, None, lists and tuples) and joins a list of plain ints, the
-# bulk of a hole report, in one step. Any other value, a --timing float
-# among them, goes to json.dumps itself.
+# ints, bools, None, lists and tuples) and joins a list of plain ints in
+# one step. The holes of a hole report, its bulk, come already encoded
+# (JsonIntLists). Any other value, a --timing float among them, goes to
+# json.dumps itself.
 
 _PLAIN_INT = {int}
+
+
+class JsonIntLists:
+    """A list of nonempty lists of ints in range(n), such as the holes of
+    a graph on n vertices, kept as JSON text: each list is encoded as it
+    is taken from `lists`, so a report holds text and not tuples.
+    write_json writes the whole as json.dumps would write the lists.
+
+    A list is held as its items without the brackets, at the indent they
+    take in a list of lists written at the top level: one join over a
+    table of the n vertex strings, with no test of their type.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self, lists: Iterable[Sequence[int]], n: int):
+        vertex = [f"\n    {v}" for v in range(n)].__getitem__
+        join = ",".join
+        self.texts = [join(map(vertex, items)) for items in lists]
+
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
 def _json_text(value: Any, newline: str) -> str:
@@ -231,6 +254,12 @@ def _json_text(value: Any, newline: str) -> str:
         return "true"
     if value is False:
         return "false"
+    if kind is JsonIntLists:
+        if not value.texts:
+            return "[]"
+        # the list of lists at the top level, moved to this value's indent
+        text = "[\n  [" + "\n  ],\n  [".join(value.texts) + "\n  ]\n]"
+        return text.replace("\n", newline)
     if kind is list or kind is tuple:
         if not value:
             return "[]"

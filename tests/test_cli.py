@@ -115,6 +115,7 @@ def test_homology_default_budget_within_address_space_limit(corpus):
 # subcommands, and dataclasses, which holes runs without
 SUBCOMMAND_MODULES = {
     "holelab.campaign",
+    "holelab.gadgets",
     "holelab.holes",
     "holelab.homology",
     "holelab.invariants",
@@ -128,10 +129,11 @@ SUBCOMMAND_MODULES = {
     "argv, unloaded",
     [
         ([], SUBCOMMAND_MODULES),
-        (["holes", "{c}"], {"holelab.structures", "holelab.campaign", "holelab.homology", "dataclasses"}),
-        (["invariants", "{c}"], {"holelab.structures", "holelab.campaign"}),
-        (["homology", "{c}"], {"holelab.structures", "holelab.campaign"}),
-        (["gadget", "cycle", "5"], SUBCOMMAND_MODULES),
+        # colouring only where --d asks for it
+        (["holes", "{c}"], SUBCOMMAND_MODULES - {"holelab.holes", "holelab.kernels"}),
+        (["invariants", "{c}"], {"holelab.structures", "holelab.campaign", "holelab.gadgets"}),
+        (["homology", "{c}"], {"holelab.structures", "holelab.campaign", "holelab.gadgets"}),
+        (["gadget", "cycle", "5"], SUBCOMMAND_MODULES - {"holelab.gadgets"}),
     ],
     ids=["bare-import", "holes", "invariants", "homology", "gadget"],
 )

@@ -208,9 +208,9 @@ def test_the_check_reads_c_defines():
 
 def test_the_parser_tables_agree_with_their_owners():
     """The parser builds without importing a subcommand's modules, so it
-    restates the verify predicates and takes the gadget kinds and the
-    subgraph budget from light modules; these must equal what the
-    subcommands run."""
+    restates the verify predicates and the gadget kinds with their
+    parameter counts, and takes the subgraph budget from a light module;
+    these must equal what the subcommands run."""
     from holelab import budget, campaign, cli, gadgets, homology
 
     commands = cli.build_parser()._subparsers._group_actions[0].choices
@@ -220,7 +220,14 @@ def test_the_parser_tables_agree_with_their_owners():
     }
     assert tuple(option["verify"]["predicate"].choices) == campaign.PREDICATES
     assert option["gadget"]["kind"].choices == list(cli.GADGET_PARAMS)
-    assert gadgets.FAMILY_PARAMS.items() <= cli.GADGET_PARAMS.items()
+    # the builders take their integers as parameters; crest takes k and
+    # then multicover's
+    arity = {
+        "findhole": len(inspect.signature(gadgets.findhole_gadget).parameters),
+        "multicover": len(inspect.signature(gadgets.multicover_gadget).parameters),
+    }
+    arity["crest"] = 1 + arity["multicover"]
+    assert cli.GADGET_PARAMS == {**arity, **gadgets.FAMILY_PARAMS}
     subsets = inspect.signature(homology.is_k_balanced).parameters["subgraph_budget"]
     assert option["balance"]["subgraph_budget"].default == subsets.default
     assert subsets.default is budget.EXHAUSTIVE_SUBSETS

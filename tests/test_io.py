@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holelab.cli
-from holelab.errors import InputError
+from holelab.budget import Budget
+from holelab.errors import BudgetExceededError, InputError
+from holelab.gadgets import standard_family
 from holelab.graph import Graph
-from holelab.io import decode_graph6, encode_graph6, parse_corpus, write_json
+from holelab.holes import enumerate_holes
+from holelab.io import JsonIntLists, decode_graph6, encode_graph6, parse_corpus, write_json
 
 from conftest import (
     CORPUS_LE7,
@@ -341,12 +344,26 @@ CLI_REPORTS = [
 ]
 
 
+def decoded(payload):
+    """payload with the lists that each JsonIntLists in it writes, read
+    back, in its place; the holes themselves are checked against the
+    kernel's tuples in test_holes_report_is_the_bytes_of_its_hole_tuples."""
+    if type(payload) is JsonIntLists:
+        return json.loads(written(payload))
+    if type(payload) is list:
+        return [decoded(item) for item in payload]
+    if type(payload) is dict:
+        return {key: decoded(item) for key, item in payload.items()}
+    return payload
+
+
 @pytest.mark.parametrize(
     "argv", CLI_REPORTS, ids=lambda argv: "-".join(arg for arg in argv if "{" not in arg)
 )
 def test_cli_reports_are_the_bytes_of_json_dumps(argv, tmp_path, monkeypatch):
     """Every report the CLI writes on the le7 corpus, --timing floats and
-    budget errors too, and on an edge-list and a DIMACS corpus."""
+    budget errors too, and on an edge-list and a DIMACS corpus. A holes
+    report holds its holes as JSON text, read back for json.dumps."""
     payloads = []
 
     def record(payload, path=None):
@@ -364,4 +381,40 @@ def test_cli_reports_are_the_bytes_of_json_dumps(argv, tmp_path, monkeypatch):
     fields = {"c": str(CORPUS_LE7), "w": str(witness), "e": str(edgelist), "d": str(dimacs)}
     holelab.cli.main(["--json-out", str(out)] + [arg.format(**fields) for arg in argv])
     (payload,) = payloads
-    assert out.read_text(encoding="ascii") == stdlib_text(payload)
+    assert out.read_text(encoding="ascii") == stdlib_text(decoded(payload))
+
+
+def test_holes_report_is_the_bytes_of_its_hole_tuples(tmp_path, capsys):
+    """A holes report, whose rows hold their holes as text, has the bytes
+    of json.dumps over the rows with the holes as enumerate_holes hands
+    them over, on stdout and in --json-out: rows with and without holes,
+    the null graph, vertices of one, two and three digits, and a row that
+    ends in a budget error, which keeps no holes."""
+    wide = Graph(102, cycle_graph(4) + [(8, 9), (9, 10), (10, 99), (99, 100), (100, 101), (101, 8)])
+    graphs = [
+        wide, Graph(0), complete_graph(5), standard_family("mycielski_iterate", 4),
+        petersen_graph(),
+    ]
+    limit = 1000
+    rows = []
+    for entry, g in enumerate(graphs):
+        row = {"entry": entry, "n": g.n}
+        try:
+            holes = list(enumerate_holes(g, budget=Budget(limit)))
+        except BudgetExceededError as exc:
+            row["budget_error"] = str(exc)
+        else:
+            row.update(holes=holes, count=len(holes))
+        rows.append(row)
+    assert rows[0]["holes"] == [(0, 1, 2, 3), (8, 9, 10, 99, 100, 101)]
+    assert [row.get("count") for row in rows] == [2, 0, 0, None, 22]
+    expected = json.dumps(rows, indent=2) + "\n"
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+    out = tmp_path / "out.json"
+    argv = ["--budget-nodes", str(limit), "holes", str(corpus)]
+    capsys.readouterr()
+    assert holelab.cli.main(argv) == holelab.cli.EXIT_BUDGET
+    assert capsys.readouterr().out == expected
+    assert holelab.cli.main(["--json-out", str(out), *argv]) == holelab.cli.EXIT_BUDGET
+    assert out.read_text(encoding="ascii") == expected

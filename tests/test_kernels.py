@@ -118,14 +118,15 @@ def test_budget_exhaustion_ends_the_stream(kernel):
 
 
 # (min_len, max_len, budget) beyond any machine integer, on the Petersen
-# graph as `gadget petersen` builds it, with the holes and nodes they give
+# graph as `gadget petersen` builds it, with the holes and nodes they give:
+# the searches with no max_len run the cut, the others the prune
 HUGE_ARGUMENTS = [
-    pytest.param((10**11, None, None), 0, 77, id="min-len-1e11"),
+    pytest.param((10**11, None, None), 0, 53, id="min-len-1e11"),
     pytest.param((5, 10**20, None), 22, 77, id="max-len-1e20"),
     pytest.param((4, -(10**20), None), 0, 0, id="max-len-minus-1e20"),
-    pytest.param((-(10**20), None, 10**23), 22, 77, id="budget-1e23"),
+    pytest.param((-(10**20), None, 10**23), 22, 53, id="budget-1e23"),
     pytest.param((4, 2**63, 2**63), 22, 77, id="budget-2e63"),
-    pytest.param((4, None, 2**63 - 1), 22, 77, id="budget-2e63-less-1"),
+    pytest.param((4, None, 2**63 - 1), 22, 53, id="budget-2e63-less-1"),
 ]
 
 
@@ -384,11 +385,41 @@ def first_hit_count(kernel, g, min_len, max_len):
     return hole, counter[0]
 
 
-def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=None):
+def reaches_closing(adj, children, region, target):
+    """The cut, by a depth-first search over a stack of vertex masks: can a
+    path from a vertex of `children`, continued through `region`, end next
+    to a vertex of `target`?"""
+    stack = [children]  # the unvisited neighbours at each level
+    seen = children
+    while stack:
+        todo = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        v_bit = todo & -todo
+        stack[-1] = todo ^ v_bit
+        nbrs = adj[v_bit.bit_length() - 1]
+        if nbrs & target:
+            return True
+        stack.append(nbrs & region & ~seen)
+        seen |= nbrs & region
+    return False
+
+
+def reference_find_holes(
+    adj, n, min_len=4, max_len=None, budget=None, counter=None, cut=True, barren=None
+):
     """The pure kernel's DFS loop as it was before the frame moved into
     locals: four parallel stacks, one closing hole handed back per pass.
     The kernel must match it hole for hole, in the counter at every yield,
-    and in where a budget stops it."""
+    and in where a budget stops it.
+
+    With no max_len, a child's frame is pushed only where its subtree
+    closes a hole (the cut); cut=False pushes it wherever the path can
+    grow, which makes the loop the plain enumeration of induced paths.
+    barren, a list, gets the path of each frame popped with no hole handed
+    back since its push, which a fifth stack, of hole counts, tells.
+    """
     if counter is None:
         counter = [0]
     if min_len < 4:
@@ -399,6 +430,7 @@ def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=N
     if max_len is not None and max_len < min_len:
         return
     contractions = [None] * (n + 1)
+    yielded = 0
     for anchor in range(n):
         anchor_bit = 1 << anchor
         gt_mask = ((1 << n) - 1) & ~((anchor_bit << 1) - 1)
@@ -407,6 +439,7 @@ def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=N
         ext_stack = [adj_anchor & gt_mask]
         clos_stack = [0]
         banned_stack = [anchor_bit]
+        holes_stack = [yielded]  # the holes handed back before each push
         while path:
             depth = len(path)
             clos = clos_stack[-1]
@@ -414,14 +447,18 @@ def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=N
                 u = clos & -clos
                 clos_stack[-1] = clos ^ u
                 counter[0] = nodes
+                yielded += 1
                 yield tuple(path) + (u.bit_length() - 1,)
                 continue
             ext = ext_stack[-1]
             if not ext:
+                if barren is not None and depth >= 2 and holes_stack[-1] == yielded:
+                    barren.append(tuple(path))
                 path.pop()
                 ext_stack.pop()
                 clos_stack.pop()
                 banned_stack.pop()
+                holes_stack.pop()
                 continue
             u_bit = ext & -ext
             ext_stack[-1] = ext ^ u_bit
@@ -452,11 +489,18 @@ def reference_find_holes(adj, n, min_len=4, max_len=None, budget=None, counter=N
                     adj, gt_mask & ~banned, u, anchor, lo, hi, contractions, depth
                 ):
                     ext_new = 0
+            elif ext_new and cut:
+                grown = gt_mask & ~banned & ~adj[u]
+                second = path[1] if depth >= 2 else u
+                closing = adj_anchor & ~((1 << (second + 1)) - 1)
+                if not reaches_closing(adj, ext_new, grown & ~adj_anchor, grown & closing):
+                    ext_new = 0
             if clos_new or ext_new:
                 path.append(u)
                 ext_stack.append(ext_new)
                 clos_stack.append(clos_new)
                 banned_stack.append(banned)
+                holes_stack.append(yielded)
     counter[0] = nodes
 
 
@@ -505,6 +549,47 @@ def test_reference_loop_stops_where_budgeted_says():
             full = trace(reference_find_holes, g, lo, hi)
             for budget in range(full[1] + 1):
                 assert trace(reference_find_holes, g, lo, hi, budget) == budgeted(full, budget)
+
+
+def cut_graphs(corpus_le7):
+    return corpus_le7 + budget_graphs() + prune_graphs() + [
+        standard_family("kneser", 5, 2),
+        standard_family("mycielski_iterate", 3),
+        standard_family("mycielski_iterate", 4),
+    ]
+
+
+@pytest.fixture(scope="module")
+def unpruned(corpus_le7):
+    """Each graph of cut_graphs with the holes of the plain enumeration of
+    its induced paths and the number of frames that enumeration pushes
+    with no hole in their subtree."""
+    out = []
+    for g in cut_graphs(corpus_le7):
+        barren = []
+        holes = list(reference_find_holes(g.adjacency_masks(), g.n, cut=False, barren=barren))
+        out.append((g, holes, len(barren)))
+    return out
+
+
+def test_cut_search_streams_the_unpruned_enumeration(kernel, unpruned):
+    """With no max_len, a kernel hands back the holes of the plain
+    enumeration, in its order, and matches the reference loop, cut
+    included, node for node."""
+    for g, holes, _ in unpruned:
+        got = trace(kernel.find_holes, g, 4, None)
+        assert [hole for hole, _ in got[0]] == holes
+        assert got == trace(reference_find_holes, g, 4, None)
+
+
+def test_cut_keeps_only_frames_that_close_a_hole(unpruned):
+    """With no max_len, every frame pushed has a hole in its subtree,
+    where the plain enumeration pushes many that have none."""
+    for g, holes, _ in unpruned:
+        barren = []
+        assert list(reference_find_holes(g.adjacency_masks(), g.n, barren=barren)) == holes
+        assert barren == []
+    assert sum(count for *_, count in unpruned) > 100_000
 
 
 def test_loop_matches_reference_loop(corpus_le7):
