@@ -1,31 +1,40 @@
 /* Compiled hole-search kernel, written against the CPython C API.
 
 Same algorithm as the pure-Python kernel (see _pycore.py for the full
-description): anchored DFS over induced paths, pruned before each push. A
-search with no max_len runs the cut (subtree_closes): a flood fill from
-the extension's children through the vertices that could grow the path,
-which keeps the frame only where it reaches a vertex next to one that
-closes a hole. A shortest such route is chordless, so the cut is exact: it
-drops just the subtrees that hold no hole, and the stream is unchanged.
-Its sets, like every bitset here, are n bits wide, so they live in the
-HoleSearch word block. A windowed search runs the completion-feasibility
-prune in the same three layers, the BFS, the gate and the chain-contraction
-sweep. The kernels differ only in how the contraction is made: the pure
-kernel patches the one it kept, and this one builds it afresh for each call
-that reaches the sweep. Bitsets are fixed-width word arrays instead of
-Python ints. The emitted hole stream is identical to the pure kernel's,
-since pruning is sound. The DFS nodes coincide too: both kernels cut the
-same frames, superedges are discovered in the same order, both kernels
-give the i-th odd superedge subset bit i (for i < MAX_TRACKED_ODD), and
-both gate the same residual graphs with the same GATE_RATIO. A gate accept
-need not be the sweep's verdict, so the kernels agree node for node only
-while they gate alike.
+description): anchored DFS over induced paths, pruned before each push.
+Both prunes ask route_length, a level BFS over the sets of route_sets:
+from the extension's children through the vertices that can grow the path
+past them (region) to those that would close it (target). It finds d, the
+fewest edges of such a route, and a shortest route is chordless, so the
+subtree's shortest hole has d + 2 more edges than the path. A search with
+no max_len runs the cut: it asks route_length with bound n and keeps the
+frame only where a route exists, so it drops just the subtrees that hold
+no hole, and the stream is unchanged. A windowed search runs the
+completion-feasibility prune in the same three layers as the pure kernel:
+the route, bounded by the most edges the window leaves, the gate and the
+chain-contraction sweep. The route settles exactly every call where the
+shortest hole is too long for the window, or none, and every call where
+it is long enough; the rest go on to the gate and the sweep. Its sets,
+like every bitset here, are n bits wide, so they live in the HoleSearch
+word block. The kernels differ only in how the contraction is made: the
+pure kernel patches the one it kept, and this one builds it afresh for
+each call that reaches the sweep. Bitsets are fixed-width word arrays
+instead of Python ints. The emitted hole stream is identical to the
+pure kernel's, since pruning is sound. The DFS nodes coincide too: both
+kernels cut the same frames, find the same route lengths, discover
+superedges in the same order, give the i-th odd superedge subset bit i
+(for i < MAX_TRACKED_ODD), and gate the same residual graphs with the same
+GATE_RATIO. A gate accept need not be the sweep's verdict, so the kernels
+agree node for node only while they gate alike.
 
 The cut made unwindowed searches smaller: Myc5 (mycielski_iterate 5),
 all 5,567,415 holes, 21,327,605 DFS nodes before and 7,949,755 after;
 standard_family("random", 60, 8, seed=1), 8,700,984 before and 2,237,787
-after. A node budget thus lasts longer there; windowed counts are as
-they were.
+after. The route did the same for windowed ones, which a BFS from the
+path's end to the anchor through the whole residual graph had settled
+before: Myc5's window [16, 16] went from 17,050,119 nodes to 7,948,513,
+and Myc4's [13, 13] from 76,652 to 33,389. A node budget thus lasts
+longer there.
 
 The kernel only counts; it never raises over a budget. counter[0] holds
 the DFS nodes made so far whenever control leaves the kernel, and a search
@@ -93,8 +102,7 @@ typedef struct {
     u64 *gt;                     /* vertices greater than the current anchor */
     u64 *ext, *clos, *banned;    /* per-frame extension/closure/banned sets */
     u64 *live, *branch, *scratch;  /* completion-feasibility scratch */
-    u64 *seen, *frontier;        /* the prune's BFS layer; frontier also the cut's */
-    u64 *region, *target;        /* the cut's flood fill (see subtree_closes) */
+    u64 *frontier, *region, *target;  /* the sets of route_sets */
     int *ints;                   /* one block holding the int arrays below */
     int *path, *vert_index, *bucket_head;
     int *adj_off, *adj_end, *adj_to, *adj_wt, *adj_odd;  /* CSR over the branch graph */
@@ -160,57 +168,86 @@ static int gcd(int a, int b)
     return a;
 }
 
-/* Layer 1 of the prune (see _pycore._completion_feasible): a BFS from
-   start over live, at most hi levels deep. Returns 0 when the anchor is out
-   of reach, 1 when it is first reached at a level >= lo, and -1 when it is
-   reached below lo, where only the sweep can tell. These are the sweep's
-   own verdicts, so the layer changes no DFS node. */
-static int bfs_layer(HoleSearch *s, int start, int lo, int hi)
+/* The sets of the cut and of the prune's route, for the extension u just
+   made at s->depth (see _pycore.find_holes): u's children (the ext frame
+   at s->depth) in frontier, the vertices through which the path can grow
+   past them in region, and those that would close it in target. Returns
+   0 where target is empty, so that u's subtree holds no hole. */
+static int route_sets(HoleSearch *s, int u)
+{
+    int nw = s->nw, first = s->depth >= 2 ? s->path[1] : u;
+    const u64 *adj_anchor = s->adj + s->anchor * nw, *adj_u = s->adj + u * nw;
+    const u64 *banned = s->banned + s->depth * nw, *children = s->ext + s->depth * nw;
+    u64 *target = s->target;
+    for (int i = 0; i < nw; i++) {
+        u64 grown = s->gt[i] & ~banned[i] & ~adj_u[i];
+        s->frontier[i] = children[i];
+        s->region[i] = grown & ~adj_anchor[i];
+        target[i] = grown & adj_anchor[i];
+    }
+    /* kill reflections: a closing vertex must exceed the second path vertex */
+    memset(target, 0, (first >> 6) * sizeof(u64));
+    target[first >> 6] &= ~((2ULL << (first & 63)) - 1);
+    return any_bit(target, nw);
+}
+
+/* Layer 1 of the prune, and the cut (see _pycore._route): the fewest
+   edges on a route from a vertex of frontier through region to one of
+   target, the sets of route_sets, or -1 where every route has more than
+   bound edges. A level BFS from the children that stops at the first
+   vertex with a neighbour in target; it uses up frontier and region. */
+static int route_length(HoleSearch *s, int bound)
 {
     int nw = s->nw;
-    u64 *seen = s->seen, *frontier = s->frontier, *reach = s->scratch;
-    memset(seen, 0, nw * sizeof(u64));
-    memset(frontier, 0, nw * sizeof(u64));
-    set_bit(seen, start);
-    set_bit(frontier, start);
-    for (int level = 1; level <= hi; level++) {
+    u64 *frontier = s->frontier, *region = s->region, *reach = s->scratch;
+    const u64 *target = s->target;
+    for (int edges = 1; edges <= bound; edges++) {
         memset(reach, 0, nw * sizeof(u64));
         for (int i = 0; i < nw; i++) {
-            u64 word = frontier[i];
-            while (word) {
+            for (u64 word = frontier[i]; word; word &= word - 1) {
                 const u64 *row = s->adj + ((i << 6) + ctz64(word)) * nw;
-                word &= word - 1;
-                for (int t = 0; t < nw; t++)
+                u64 hit = 0;
+                for (int t = 0; t < nw; t++) {
+                    hit |= row[t] & target[t];
                     reach[t] |= row[t];
+                }
+                if (hit)
+                    return edges;
             }
         }
         u64 any = 0;
         for (int i = 0; i < nw; i++) {
-            frontier[i] = reach[i] & s->live[i] & ~seen[i];
-            seen[i] |= frontier[i];
+            frontier[i] = reach[i] & region[i];
+            region[i] ^= frontier[i];
             any |= frontier[i];
         }
-        if (get_bit(frontier, s->anchor))
-            return level >= lo ? 1 : -1;
         if (!any)
-            return 0;
+            return -1;
     }
-    return 0;
+    return -1;
 }
 
-/* Sound test: can a simple path of length in [lo, hi] from start back to
-   the current anchor still exist inside `allowed`? The one caller passes
-   2 <= lo <= hi. */
-static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int lo, int hi)
+/* The windowed prune, run after route_sets: can a hole of the window still
+   close below start, the extension just made? The route settles the call
+   where the subtree's shortest hole is too long, or long enough; otherwise
+   the gate and the sweep ask whether a simple path from start back to the
+   current anchor, of a length that gives a hole of the window, can still
+   exist inside the residual graph. Sound: it rejects only where no hole of
+   the window lies below start. */
+static int completion_feasible(HoleSearch *s, int start)
 {
     int nw = s->nw, anchor = s->anchor, nb = 0, n_live = 0, slots = 0, g = 0, n_odd = 0;
+    /* the return path has s->depth fewer edges than the hole */
+    int lo = s->min_len - s->depth, hi = s->max_len - s->depth;
+    if (lo < 2)
+        lo = 2;
+    int route = route_length(s, hi - 2);
+    if (route < 0 || route + 2 >= lo)
+        return route >= 0;
     for (int i = 0; i < nw; i++)
-        s->live[i] = allowed[i];
+        s->live[i] = s->gt[i] & ~s->banned[s->depth * nw + i];
     set_bit(s->live, start);
     set_bit(s->live, anchor);
-    int settled = bfs_layer(s, start, lo, hi);
-    if (settled >= 0)
-        return settled;
     /* branch vertices: residual degree != 2, plus start and anchor; each
        gets one slot per residual edge in the CSR over the branch graph.
        Then the gate: a residual that barely contracts is accepted. */
@@ -333,44 +370,6 @@ static int completion_feasible(HoleSearch *s, const u64 *allowed, int start, int
     return 0;
 }
 
-/* The cut of a search with no max_len (see _pycore._closes): is a vertex
-   that would close a hole adjacent to one reachable from u's children,
-   the ext frame just made at s->depth, through the vertices that could
-   extend the path past them? A flood fill that stops at the first such
-   vertex; where it finds none, u's subtree holds no hole. */
-static int subtree_closes(HoleSearch *s, int u)
-{
-    int nw = s->nw, first = s->depth >= 2 ? s->path[1] : u;
-    const u64 *adj_anchor = s->adj + s->anchor * nw, *adj_u = s->adj + u * nw;
-    const u64 *banned = s->banned + s->depth * nw, *children = s->ext + s->depth * nw;
-    u64 *frontier = s->frontier, *region = s->region, *target = s->target;
-    for (int i = 0; i < nw; i++) {
-        u64 grown = s->gt[i] & ~banned[i] & ~adj_u[i];
-        frontier[i] = children[i];
-        region[i] = grown & ~adj_anchor[i];
-        target[i] = grown & adj_anchor[i];
-    }
-    /* kill reflections: a closing vertex must exceed the second path vertex */
-    memset(target, 0, (first >> 6) * sizeof(u64));
-    target[first >> 6] &= ~((2ULL << (first & 63)) - 1);
-    if (!any_bit(target, nw))
-        return 0;
-    for (int v; (v = lowest_bit(frontier, nw)) >= 0;) {
-        const u64 *row = s->adj + v * nw;
-        u64 hit = 0;
-        clear_bit(frontier, v);
-        for (int i = 0; i < nw; i++) {
-            u64 next = row[i] & region[i];
-            hit |= row[i] & target[i];
-            region[i] ^= next;
-            frontier[i] |= next;
-        }
-        if (hit)
-            return 1;
-    }
-    return 0;
-}
-
 /* Store the node count in counter[0]; called wherever control leaves the
    kernel, so the caller can charge the work to its budget. */
 static int report_nodes(HoleSearch *s)
@@ -468,17 +467,14 @@ static PyObject *hs_next(HoleSearch *s)
         } else {
             for (int i = 0; i < nw; i++)
                 frame[i] = cand[i] & ~adj_anchor[i];
-            if (s->has_max && any_bit(frame, nw)) {
-                int edges_used = new_depth - 1;
-                int lo = s->min_len - edges_used, hi = s->max_len - edges_used;
-                if (lo < 2)
-                    lo = 2;
-                for (int i = 0; i < nw; i++)
-                    s->live[i] = s->gt[i] & ~s->banned[s->depth * nw + i];
-                if (!completion_feasible(s, s->live, u, lo, hi))
+            /* keep u's children only where a path through them closes a
+               hole: of any length with no max_len (the cut), and else one
+               the window may still hold (the prune) */
+            if (any_bit(frame, nw)) {
+                int keep = route_sets(s, u)
+                           && (s->has_max ? completion_feasible(s, u) : route_length(s, s->n) >= 0);
+                if (!keep)
                     memset(frame, 0, nw * sizeof(u64));
-            } else if (!s->has_max && any_bit(frame, nw) && !subtree_closes(s, u)) {
-                memset(frame, 0, nw * sizeof(u64));
             }
         }
         if (any_bit(s->clos + s->depth * nw, nw) || any_bit(s->ext + s->depth * nw, nw)) {
@@ -573,7 +569,7 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     }
     s->exhausted = s->has_max && s->max_len < s->min_len;
     size_t nw = s->nw, rows = n > 0 ? n : 1, cap = n + 2;
-    u64 *w = s->words = PyMem_Calloc((rows + 8 + 3 * cap) * nw, sizeof(u64));
+    u64 *w = s->words = PyMem_Calloc((rows + 7 + 3 * cap) * nw, sizeof(u64));
     if (w == NULL)
         goto nomem;
     s->adj = w; w += rows * nw;
@@ -581,7 +577,6 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     s->live = w; w += nw;
     s->branch = w; w += nw;
     s->scratch = w; w += nw;
-    s->seen = w; w += nw;
     s->frontier = w; w += nw;
     s->region = w; w += nw;
     s->target = w; w += nw;

@@ -14,35 +14,62 @@ frame of an extension, it asks whether the frame's subtree can hold a hole
 that is wanted, and drops the extension's children where it cannot.
 
 With no upper length bound, any hole will do, and the question is one of
-reachability, which the cut answers exactly (see _closes): a flood fill
-from the children through the vertices that could grow the path past them,
-which succeeds at the first vertex next to one that would close it. A
+reachability, which the cut answers exactly: a search for a route from
+the children through the vertices that could grow the path past them to
+one that would close it (see _route, asked with no bound that binds). A
 shortest such route, with its closing vertex, is chordless: so the
-subtree holds a hole exactly when the fill succeeds. The cut thus drops
-only subtrees that close no hole and leaves the stream as it was; every
-frame pushed closes a hole, and a budget of DFS nodes lasts longer. On
-the sparse random graphs of perfbench holes-enum (seed 1), 619,221 of the
+subtree holds a hole exactly when a route exists. The cut thus drops only
+subtrees that close no hole and leaves the stream as it was; every frame
+pushed closes a hole, and a budget of DFS nodes lasts longer. On the
+sparse random graphs of perfbench holes-enum (seed 1), 619,221 of the
 730,562 nodes made without the cut lay in subtrees that close no hole;
 with it the search makes 156,433. A lower length bound alone keeps the
 cut: it stays sound, though a subtree it keeps may close only holes that
 are too short.
 
-When an upper length bound is given, the question is whether a return
-path of an admissible length can still exist: a completion-feasibility
-test on the residual graph, in three layers:
+When an upper length bound is given, the question is whether a hole of
+the window can still close below the extension: a completion-feasibility
+test, in three layers:
 
-1. A bitset BFS from the path's end, at most `hi` levels deep. If the
-   anchor is out of reach, no return path is short enough; if it is first
-   reached at a depth that is itself an admissible length, the shortest
-   path is a return path. Either way the answer is settled.
-2. The gate: where the branch vertices of the contraction below, start and
-   anchor included, are more than 1/GATE_RATIO of the residual graph's
-   vertices, the residual barely contracts, and the call is accepted with
-   no contraction made and no sweep run.
-3. Otherwise degree-2 chains are contracted to weighted superedges and a
-   shortest-path sweep over (branch vertex, odd-superedge subset, weight
-   residue) states decides whether a return path with an admissible total
-   length can still exist (see _sweep).
+1. The route (see _route): the fewest edges d from one of the children,
+   through the vertices that could grow the path past them, to one of the
+   vertices that would close it, looked for up to the most edges a
+   hole of the window leaves. The subtree's shortest hole has d more
+   vertices than the path with the extension and its closing vertex. With
+   no route short enough, no hole of the window lies below, and the
+   children are dropped; where that shortest hole is long enough for the
+   window, it is a hole of the window, and they are kept.
+2. Otherwise, with a route too short for the window, the gate: where the
+   branch vertices of the contraction below, start and anchor included,
+   are more than 1/GATE_RATIO of the residual graph's vertices, the
+   residual barely contracts, and the call is accepted with no
+   contraction made and no sweep run. The residual graph is the vertices
+   still allowed on the path, with its end (start) and the anchor.
+3. Otherwise degree-2 chains of the residual graph are contracted to
+   weighted superedges and a shortest-path sweep over (branch vertex,
+   odd-superedge subset, weight residue) states decides whether a return
+   path from start to the anchor with an admissible total length can
+   still exist (see _sweep).
+
+The route settles a call exactly, for the reason the cut is exact: a
+shortest route, with its closing vertex, is chordless, so it makes a hole
+with the path, one the DFS reaches by taking the route's vertices one by
+one; and the part of any hole below the extension is such a route (the
+argument behind chordless-path enumeration, Uno & Satoh 2014). Its
+length is so that of the subtree's shortest hole, and a route reject
+drops only subtrees that hold no hole of the window. The layer it
+replaced, a BFS from the path's end to the anchor through the whole
+residual graph, could not tell a return path that touches the anchor's
+other neighbours or closes below the second vertex: on perfbench
+holes-window (seed 1) the route halves the DFS nodes, 22,603 to 11,049,
+and about halves the prune's time.
+
+The cut and the route are one search, the same in both kernels: the cut
+asks it with a bound of n and only wants to know whether it finds a
+route. It grows from the children alone. Grown from both ends, the
+smaller frontier stepping first (Pohl 1971, "Bi-directional search"), it
+made perfbench holes-window's wall_s about 7 % lower but holes-enum's
+about 3 % higher (seed 1, 10 alternating rounds each), for more code.
 
 A simple path traverses any chain wholly or not at all, so path lengths in
 the residual graph are exactly walk weights in the contraction that use
@@ -68,23 +95,18 @@ A patch reproduces the contraction exactly, and patches may start from any
 kept contraction, so verdicts do not depend on how the contraction was
 made, nor on the depths where a gate accept left the kept one stale.
 
-Layer 1 only answers where the sweep of layer 3 answers the same. Every
-walk the sweep counts is a walk in the residual graph, so an anchor beyond
-hi BFS levels means the sweep rejects too. An anchor first reached at
-level d >= lo (so d >= 2: the direct start-anchor edge never settles a
-call) gives a shortest path of admissible length; the sweep finds that
-state at distance d, since no walk is shorter, and accepts. The gate is not
-the sweep's verdict: it may accept a call that the sweep would reject.
-Accepting is always sound, since the test only ever rejects impossible
-completions, so pruning never changes the emitted set of holes; but a gate
-accept lets the DFS grow paths that the sweep would have cut, so where the
-DFS goes, and its node count, depends on the gate. The compiled kernel
-(_fastcore.c) runs the same cut and the same three layers, with the same
-GATE_RATIO on the same residual graphs, and differs only in building the
-contraction afresh for each call that reaches the sweep. So the two
-kernels give the same verdicts and agree hole for hole and DFS node for
-DFS node. This kernel is the compiled one's fallback where no C compiler
-is present, and its oracle in the tests.
+The gate is not the sweep's verdict: it may accept a call that the sweep
+would reject, and the sweep may accept a call that the route rejects, as
+it overestimates. Accepting is always sound, since the test only ever
+rejects impossible completions, so pruning never changes the emitted set
+of holes; but a gate accept lets the DFS grow paths that the sweep would
+have cut, so where the DFS goes, and its node count, depends on the gate.
+The compiled kernel (_fastcore.c) runs the same cut and the same three
+layers, with the same GATE_RATIO on the same residual graphs, and differs
+only in building the contraction afresh for each call that reaches the
+sweep. So the two kernels give the same verdicts and agree hole for hole
+and DFS node for DFS node. This kernel is the compiled one's fallback
+where no C compiler is present, and its oracle in the tests.
 
 Both kernels only count. They report DFS nodes through the caller's
 `counter` and end the stream, raising nothing, at the node past their
@@ -108,17 +130,19 @@ MAX_RESIDUE_MOD = 64
 # 1000 vertices, patches of a third to a half of that size took about as
 # long as a build, and smaller ones less.
 REBUILD_RATIO = 3
-# A call the BFS leaves open is accepted unswept when its branch vertices
+# A call the route leaves open is accepted unswept when its branch vertices
 # (start and anchor included) are more than 1/GATE_RATIO of its live
-# vertices, in both kernels. Measured branch/live on such calls: 72
-# findhole gadgets (l = 24..32, paths in {2, 4}^3), 90th percentile 0.086,
-# at most 0.101, and 3177 of their 4611 sweeps reject; Myc4 windows [5, 8],
-# [11, 11] and [13, 13] and random n = 130 window [6, 9], 10th percentile
-# 0.64 or more. A half sits in that gap, so the gate never fires on a
+# vertices, in both kernels. Measured branch/live on such calls: first hits
+# on 72 findhole gadgets (l = 24..32, paths in {2, 4}^3), 4873 calls, 90th
+# percentile 0.086, at most 0.101, and 3177 of their 4873 sweeps reject;
+# Myc4 windows [11, 11] and [13, 13], about 13,000 calls each, and random
+# n = 130 window [6, 9], 473 calls, 10th percentile 0.63 or more; Myc4
+# window [5, 8], 189 calls, 10th percentile 0.40, and none of its 25
+# sweeps rejects. A half sits in the gap, so the gate never fires on a
 # gadget, whose chains the sweep needs, and settles most calls where
 # nearly nothing contracts and a sweep costs more than the nodes it saves:
-# compiled, Myc4's window [13, 13] makes 76652 nodes in 0.013 s with the
-# gate, against 56214 nodes in 0.082 s without.
+# compiled, Myc4's window [13, 13] makes 33389 nodes in 0.005 s with the
+# gate, against 28805 nodes in 0.045 s without.
 GATE_RATIO = 2
 
 
@@ -131,52 +155,114 @@ def _completion_feasible(
     hi: int,
     contractions: list[_Contraction | None],
     depth: int,
+    children: int,
+    region: int,
+    target: int,
 ) -> bool:
     """Can some simple path from start to anchor with length in [lo, hi]
     (lo >= 2) exist within `allowed`? The three layers of the module
     docstring, in order.
 
-    Layer 1 is a BFS over the residual graph `allowed | start | anchor`,
-    at most hi levels deep. Only calls that reach the anchor at a level
-    below lo go on. They read the contraction that _patch_source picks to
-    patch from `contractions`, the last one made at each DFS depth, or
-    build one afresh. The branch vertices are worked out first, by the scan
-    a fresh build starts with or the first half of the patch, and layer 2,
-    the gate, reads them. A gate accept returns True with no contraction
-    made, and leaves the one kept for this depth as it was; otherwise the
-    contraction is finished, kept and swept.
+    Layer 1 is the route (see _route): the fewest edges d from a vertex of
+    `children`, start's children, through `region` to one of `target`,
+    looked for up to hi - 2 edges. With no such route the call rejects,
+    and with d + 2 >= lo it accepts. Only a call whose route is too short
+    for the window goes on to the gate and the sweep (_gate_and_sweep).
     """
-    live = allowed | (1 << start) | (1 << anchor)
-    anchor_bit = 1 << anchor
-    seen = frontier = 1 << start
-    for level in range(1, hi + 1):
+    d = _route(adj, children, region, target, hi - 2)
+    if d is None:
+        return False
+    return d + 2 >= lo or _gate_and_sweep(
+        adj, allowed, start, anchor, lo, hi, contractions, depth
+    )
+
+
+def _gate_and_sweep(
+    adj: Sequence[int],
+    allowed: int,
+    start: int,
+    anchor: int,
+    lo: int,
+    hi: int,
+    contractions: list[_Contraction | None],
+    depth: int,
+) -> bool:
+    """Layers 2 and 3 of the prune, on the residual graph `allowed | start
+    | anchor`. They read the contraction that _patch_source picks to patch
+    from `contractions`, the last one made at each DFS depth, or build one
+    afresh. The branch vertices are worked out first, by the scan a fresh
+    build starts with or the first half of the patch, and the gate reads
+    them. A gate accept returns True with no contraction made, and leaves
+    the one kept for this depth as it was; otherwise the contraction is
+    finished, kept and swept.
+    """
+    forced = (1 << start) | (1 << anchor)
+    live = allowed | forced
+    source = _patch_source(adj, contractions, depth, live, forced)
+    if source is None:
+        branch = _branch_vertices(adj, live, forced)
+    else:
+        branch, redo = _patch_branch(adj, source, live, forced)
+    if GATE_RATIO * branch.bit_count() > live.bit_count():
+        return True
+    if source is None:
+        con = _contract(adj, live, forced, branch)
+    else:
+        con = _patch(adj, source, live, forced, (branch, redo))
+    contractions[depth] = con
+    return _sweep(con, start, anchor, lo, hi)
+
+
+def _route(
+    adj: Sequence[int], children: int, region: int, target: int, bound: int
+) -> int | None:
+    """The fewest edges on a route from a vertex of `children` through
+    `region` to a vertex of `target`, or None where every route has more
+    than `bound` edges. The three sets are disjoint.
+
+    A level BFS from `children` through `region` that stops at the first
+    vertex with a neighbour in `target`: the vertices of a level are
+    `edges - 1` steps from the children, and no level before had such a
+    neighbour, so no route is shorter. Each level's vertices leave
+    `region`, so none is visited twice.
+
+    The DFS asks it before it pushes the frame of an extension u: the cut
+    with a bound of n, and the prune with the most edges the window
+    leaves. Let `grown` be the vertices still allowed once u joins the
+    path: allowed minus u and its neighbours. `children` holds u's
+    children, `region` the vertices of `grown` off the anchor's
+    neighbours, through which the path can grow, and `target` those among
+    the anchor's neighbours above the path's second vertex, which close it
+    (the bound kills reflections). Take a shortest route from a child
+    through `region` to a vertex next to some z of `target`. Its vertices
+    that are not consecutive are not adjacent, and z is adjacent to its
+    last one only, or a shorter route would exist; the child alone is
+    adjacent to u, and no vertex of it to the anchor or to the path before
+    u. So the path, the route and z make a hole of u's subtree, and the
+    DFS reaches it by taking the route's vertices one by one as children.
+    Conversely, the part of any hole in u's subtree after u is such a
+    route. So where the answer is d, the subtree's shortest hole has
+    exactly d + 2 more edges than the path from the anchor to u.
+    """
+    # a while loop, not a range: most calls end within a step or two, and
+    # a range made per call cost holes-enum about 4 % of its wall_s
+    frontier = children
+    edges = 1
+    while edges <= bound:
         reach = 0
         while frontier:
             low = frontier & -frontier
-            reach |= adj[low.bit_length() - 1]
+            nbrs = adj[low.bit_length() - 1]
+            if nbrs & target:
+                return edges
+            reach |= nbrs
             frontier ^= low
-        frontier = reach & live & ~seen
-        if frontier & anchor_bit:
-            if level >= lo:
-                return True
-            forced = (1 << start) | anchor_bit
-            source = _patch_source(adj, contractions, depth, live, forced)
-            if source is None:
-                branch = _branch_vertices(adj, live, forced)
-            else:
-                branch, redo = _patch_branch(adj, source, live, forced)
-            if GATE_RATIO * branch.bit_count() > live.bit_count():
-                return True
-            if source is None:
-                con = _contract(adj, live, forced, branch)
-            else:
-                con = _patch(adj, source, live, forced, (branch, redo))
-            contractions[depth] = con
-            return _sweep(con, start, anchor, lo, hi)
+        frontier = reach & region
         if not frontier:
-            return False
-        seen |= frontier
-    return False
+            return None
+        region ^= frontier
+        edges += 1
+    return None
 
 
 class _Contraction:
@@ -578,40 +664,6 @@ def _sweep(con: _Contraction, start: int, anchor: int, lo: int, hi: int) -> bool
     return False
 
 
-def _closes(adj: Sequence[int], frontier: int, region: int, target: int) -> bool:
-    """Has a vertex reachable from `frontier` through `region` a neighbour
-    in `target`? A flood fill that stops at the first such vertex.
-
-    This is the cut of a search with no upper length bound (see the module
-    docstring), asked before the DFS pushes the frame of an extension u.
-    Let `grown` be the vertices still allowed once u joins the path:
-    allowed minus u and its neighbours. `frontier` holds u's children,
-    `region` the vertices of `grown` off the anchor's neighbours, through
-    which the path can grow, and `target` those among the anchor's
-    neighbours above the path's second vertex, which close it (the bound
-    kills reflections).
-
-    The answer is exact. Take a shortest route from a child through
-    `region` to a vertex next to some z of `target`. Its vertices that are
-    not consecutive are not adjacent, and z is adjacent to its last one
-    only, or a shorter route would exist; the child alone is adjacent to
-    u, and no vertex of it to the anchor or to the path before u. So the
-    path, the route and z make a hole of u's subtree, and the DFS reaches
-    it by taking the route's vertices one by one as children. Conversely,
-    the part of any hole in u's subtree after u is such a route.
-    """
-    while frontier:
-        low = frontier & -frontier
-        nbrs = adj[low.bit_length() - 1]
-        if nbrs & target:
-            return True
-        frontier ^= low
-        nbrs &= region
-        region ^= nbrs
-        frontier |= nbrs
-    return False
-
-
 def find_holes(
     adj: Sequence[int],
     n: int,
@@ -701,19 +753,23 @@ def find_holes(
                 # kill reflections: a closing vertex must exceed the
                 # anchor's first neighbour on the path
                 closing = adj_anchor & ~((u_bit << 1) - 1)
-            if ext_new and windowed:
-                # the return path has `depth` fewer edges than the hole
-                if not _completion_feasible(
-                    adj, allowed & ~u_bit, u, anchor, max(min_len - depth, 2),
-                    max_len - depth, contractions, depth,
-                ):
-                    ext_new = 0
-            elif ext_new:
-                # the cut: keep u's children only where a path through
-                # them closes a hole (see _closes)
+            if ext_new:
+                # keep u's children only where a path through them closes
+                # a hole: of any length with no max_len (the cut, a route
+                # of any length), and else one the window may still hold
                 grown = allowed & ~(u_bit | adj_u)
                 target = grown & closing
-                if not target or not _closes(adj, ext_new, grown & far, target):
+                if not target:
+                    ext_new = 0
+                elif windowed:
+                    # the return path has `depth` fewer edges than the hole
+                    if not _completion_feasible(
+                        adj, allowed & ~u_bit, u, anchor, max(min_len - depth, 2),
+                        max_len - depth, contractions, depth,
+                        ext_new, grown & far, target,
+                    ):
+                        ext_new = 0
+                elif _route(adj, ext_new, grown & far, target, n) is None:
                     ext_new = 0
             clos_new = adj_u & close
             if clos_new:

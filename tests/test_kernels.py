@@ -122,10 +122,10 @@ def test_budget_exhaustion_ends_the_stream(kernel):
 # the searches with no max_len run the cut, the others the prune
 HUGE_ARGUMENTS = [
     pytest.param((10**11, None, None), 0, 53, id="min-len-1e11"),
-    pytest.param((5, 10**20, None), 22, 77, id="max-len-1e20"),
+    pytest.param((5, 10**20, None), 22, 53, id="max-len-1e20"),
     pytest.param((4, -(10**20), None), 0, 0, id="max-len-minus-1e20"),
     pytest.param((-(10**20), None, 10**23), 22, 53, id="budget-1e23"),
-    pytest.param((4, 2**63, 2**63), 22, 77, id="budget-2e63"),
+    pytest.param((4, 2**63, 2**63), 22, 53, id="budget-2e63"),
     pytest.param((4, None, 2**63 - 1), 22, 53, id="budget-2e63-less-1"),
 ]
 
@@ -210,22 +210,26 @@ def gate_meets(adj, live, start, anchor):
 
 
 def test_prune_verdicts_match_full_sweep(monkeypatch):
-    """The prune rejects only where the sweep rejects, and accepts only
-    where the sweep accepts or the gate may: the BFS layer settles a call
-    only where the sweep gives the same verdict.
+    """The route settles the calls it can, and every other verdict is the
+    sweep's, or a gate accept.
 
-    The call and reject counts pin the verdicts: any change of verdict
-    moves the DFS and with it these counts. They are those of the compiled
-    kernel, which test_node_counts_identical_across_kernels checks node
-    for node. No call of the gadget search meets the gate, so there every
-    verdict is the sweep's.
+    A route too long for the window, or none, rejects: that is exact
+    (test_route_finds_the_shortest_hole_below_each_extension), and the
+    sweep, which only overestimates, may accept there. A route of an
+    admissible length accepts, and so does the sweep. The call and reject
+    counts pin the verdicts: any change of verdict moves the DFS and with
+    it these counts. They are those of the compiled kernel, which
+    test_node_counts_identical_across_kernels checks node for node. No
+    call of the gadget searches meets the gate, so there every call the
+    route leaves open is the sweep's, and the ones of gadget (26, 2, 2, 4)
+    keep sweep rejects covered.
     """
     calls = []
     feasible = _pycore._completion_feasible
 
-    def record(adj, allowed, start, anchor, lo, hi, *kept):
-        verdict = feasible(adj, allowed, start, anchor, lo, hi, *kept)
-        calls.append((adj, allowed, start, anchor, lo, hi, verdict))
+    def record(*args):
+        verdict = feasible(*args)
+        calls.append((*args, verdict))
         return verdict
 
     monkeypatch.setattr(_pycore, "_completion_feasible", record)
@@ -233,21 +237,34 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
         for lo, hi in PRUNE_WINDOWS:
             holes_of(_pycore, g, lo, hi)
     on_graphs = len(calls)
-    gadget = findhole_gadget(24, 2, 2, 4)
-    search = _pycore.find_holes(gadget.adjacency_masks(), gadget.n, 24, 24, 10_000, [0])
-    assert len(next(search)) == 24
-    verdicts = [verdict for *_, verdict in calls]
-    assert (len(verdicts), verdicts.count(False)) == (6765, 2664)
+    for ell in (24, 26):
+        gadget = findhole_gadget(ell, 2, 2, 4)
+        assert len(first_hit_count(_pycore, gadget, ell, ell)[0]) == ell
+    settled = {"reject": 0, "accept": 0}
+    swept = {"graphs": [0, 0], "gadgets": [0, 0]}  # calls swept, rejects
     gated = 0
-    for i, (adj, allowed, start, anchor, lo, hi, verdict) in enumerate(calls):
+    for i, (adj, allowed, start, anchor, lo, hi, _, _, *sets, verdict) in enumerate(calls):
         live = allowed | (1 << start) | (1 << anchor)
-        swept = _pycore._sweep_feasible(adj, live, start, anchor, lo, hi)
+        sweep = _pycore._sweep_feasible(adj, live, start, anchor, lo, hi)
+        d = _pycore._route(adj, *sets, hi - 2)
+        if d is None or d + 2 >= lo:
+            assert verdict == (d is not None) and (sweep or d is None)
+            settled["accept" if verdict else "reject"] += 1
+            continue
         meets = gate_meets(adj, live, start, anchor)
         assert not (i >= on_graphs and meets)
-        if verdict != swept:
+        if verdict != sweep:
             assert verdict and meets
             gated += 1
-    assert gated > 0
+        else:
+            counts = swept["gadgets" if i >= on_graphs else "graphs"]
+            counts[0] += 1
+            counts[1] += not verdict
+    verdicts = [verdict for *_, verdict in calls]
+    assert (len(verdicts), verdicts.count(False)) == (3233, 1476)
+    assert settled == {"reject": 1357, "accept": 1525}
+    assert swept == {"graphs": [175, 0], "gadgets": [164, 119]}
+    assert gated == 12
 
 
 def contraction_facts(con):
@@ -267,11 +284,12 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
 
     A gate accept leaves the contraction kept for its depth as it was, so
     the kept ones can be stale; the sweeps must still read contractions
-    built afresh and patched from both a sibling's and the parent's. The gate leaves few sweeps on the random graphs; the
-    gadgets, where it never accepts, make most of the patches, and Myc4's
+    built afresh and patched from both a sibling's and the parent's. The
+    route and the gate leave few sweeps on the random graphs; the gadgets,
+    where the gate never accepts, make most of the patches, and Myc4's
     window [11, 11] most of the fresh builds."""
-    feasible, sweep, patch, contract = (
-        _pycore._completion_feasible, _pycore._sweep, _pycore._patch, _pycore._contract
+    gate_and_sweep, sweep, patch, contract = (
+        _pycore._gate_and_sweep, _pycore._sweep, _pycore._patch, _pycore._contract
     )
     call = {}
     checked = fresh_builds = 0
@@ -282,7 +300,7 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
             adj=adj, live=allowed | (1 << start) | (1 << anchor),
             sibling=contractions[depth], parent=contractions[depth - 1],
         )
-        return feasible(adj, allowed, start, anchor, lo, hi, contractions, depth)
+        return gate_and_sweep(adj, allowed, start, anchor, lo, hi, contractions, depth)
 
     def check_sweep(con, start, anchor, lo, hi):
         nonlocal checked
@@ -306,7 +324,7 @@ def test_patched_contraction_equals_fresh_one(monkeypatch):
         fresh_builds += 1
         return contract(*args)
 
-    monkeypatch.setattr(_pycore, "_completion_feasible", record_call)
+    monkeypatch.setattr(_pycore, "_gate_and_sweep", record_call)
     monkeypatch.setattr(_pycore, "_sweep", check_sweep)
     monkeypatch.setattr(_pycore, "_patch", count_patch)
     monkeypatch.setattr(_pycore, "_contract", count_contract)
@@ -406,8 +424,30 @@ def reaches_closing(adj, children, region, target):
     return False
 
 
+def members(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def route_edges(nbrs, children, region, target, bound):
+    """The route, by a plain BFS over sets of vertices (nbrs[v]: the set of
+    v's neighbours): the fewest edges on a path from a vertex of
+    `children` through `region` to one of `target`, or None where every
+    such path has more than `bound`."""
+    frontier, region, target = members(children), members(region), members(target)
+    seen = set(frontier)
+    for edges in range(1, bound + 1):
+        if any(nbrs[v] & target for v in frontier):
+            return edges
+        frontier = {w for v in frontier for w in nbrs[v] & region} - seen
+        if not frontier:
+            return None
+        seen |= frontier
+    return None
+
+
 def reference_find_holes(
-    adj, n, min_len=4, max_len=None, budget=None, counter=None, cut=True, barren=None
+    adj, n, min_len=4, max_len=None, budget=None, counter=None, cut=True, barren=None,
+    routes=None,
 ):
     """The pure kernel's DFS loop as it was before the frame moved into
     locals: four parallel stacks, one closing hole handed back per pass.
@@ -419,6 +459,11 @@ def reference_find_holes(
     grow, which makes the loop the plain enumeration of induced paths.
     barren, a list, gets the path of each frame popped with no hole handed
     back since its push, which a fifth stack, of hole counts, tells.
+
+    With a max_len, the route (route_edges) settles what it can, and only
+    a route too short for the window is left to the kernel's gate and
+    sweep. routes, a list, gets each route asked for: the path with the
+    extension, the sets and bound it was asked on, and its length.
     """
     if counter is None:
         counter = [0]
@@ -430,6 +475,7 @@ def reference_find_holes(
     if max_len is not None and max_len < min_len:
         return
     contractions = [None] * (n + 1)
+    nbrs = [members(mask) for mask in adj]
     yielded = 0
     for anchor in range(n):
         anchor_bit = 1 << anchor
@@ -482,18 +528,22 @@ def reference_find_holes(
             ext_new = cand & ~adj_anchor
             if max_len is not None and new_depth + 2 > max_len:
                 ext_new = 0
+            grown = gt_mask & ~banned & ~adj[u]
+            second = path[1] if depth >= 2 else u
+            closing = adj_anchor & ~((1 << (second + 1)) - 1)
+            region, target = grown & ~adj_anchor, grown & closing
             if ext_new and max_len is not None:
                 lo = max(min_len - (new_depth - 1), 2)
                 hi = max_len - (new_depth - 1)
-                if not _pycore._completion_feasible(
+                d = route_edges(nbrs, ext_new, region, target, hi - 2)
+                if routes is not None:
+                    routes.append((tuple(path) + (u,), (ext_new, region, target, hi - 2), d))
+                if d is None or d + 2 < lo and not _pycore._gate_and_sweep(
                     adj, gt_mask & ~banned, u, anchor, lo, hi, contractions, depth
                 ):
                     ext_new = 0
             elif ext_new and cut:
-                grown = gt_mask & ~banned & ~adj[u]
-                second = path[1] if depth >= 2 else u
-                closing = adj_anchor & ~((1 << (second + 1)) - 1)
-                if not reaches_closing(adj, ext_new, grown & ~adj_anchor, grown & closing):
+                if not reaches_closing(adj, ext_new, region, target):
                     ext_new = 0
             if clos_new or ext_new:
                 path.append(u)
@@ -514,7 +564,9 @@ def trace(find_holes, g, min_len, max_len, budget=None):
     return out, counter[0]
 
 
-ALL_WINDOWS = BUDGET_WINDOWS + PRUNE_WINDOWS
+# (4, 6): from the path's second vertex on, every route fits min_len, so
+# the route settles each call alone, and its bound is what drops subtrees
+ALL_WINDOWS = BUDGET_WINDOWS + PRUNE_WINDOWS + [(4, 6)]
 
 
 def loop_cases(corpus_le7):
@@ -590,6 +642,81 @@ def test_cut_keeps_only_frames_that_close_a_hole(unpruned):
         assert list(reference_find_holes(g.adjacency_masks(), g.n, barren=barren)) == holes
         assert barren == []
     assert sum(count for *_, count in unpruned) > 100_000
+
+
+def window_cases(corpus_le7):
+    """cut_graphs, each with the windows the route tests run on it: Myc4's
+    own, and every window of ALL_WINDOWS with a max_len on the others."""
+    *graphs, myc4 = cut_graphs(corpus_le7)
+    bounded = [window for window in ALL_WINDOWS if window[1] is not None]
+    return [(g, bounded) for g in graphs] + [(myc4, MYC4_WINDOWS)]
+
+
+def test_route_finds_the_shortest_hole_below_each_extension(corpus_le7, unpruned):
+    """Each route that the reference loop asks for, on a path whose
+    extension makes k vertices, has d = m - k - 1 edges, where m is the
+    length of the shortest hole of the plain enumeration that extends
+    those k vertices past the extension's children (m >= k + 2), and is
+    none where d would pass its bound or no such hole exists. So a route
+    that is none drops only subtrees with no hole of the window, and one
+    that gives a hole of at least min_len accepts only where such a hole
+    exists. The kernel's _route finds the same d from the same sets."""
+    cases = window_cases(corpus_le7)
+    assert [g for g, _ in cases] == [g for g, *_ in unpruned]
+    asked = dropped = accepted = 0
+    for (g, windows), (_, holes, _) in zip(cases, unpruned):
+        adj = g.adjacency_masks()
+        lengths = {}  # prefix -> lengths of the holes through its children
+        for hole in holes:
+            for k in range(2, len(hole) - 1):
+                lengths.setdefault(hole[:k], set()).add(len(hole))
+        for lo, hi in windows:
+            routes = []
+            list(reference_find_holes(adj, g.n, lo, hi, routes=routes))
+            hi = min(hi, g.n)
+            for prefix, (*sets, bound), d in routes:
+                k = len(prefix)
+                below = lengths.get(prefix, ())
+                shortest = min(below, default=None)
+                if shortest is None or shortest - k - 1 > bound:
+                    assert d is None
+                else:
+                    assert d == shortest - k - 1
+                assert _pycore._route(adj, *sets, bound) == d
+                in_window = any(lo <= length <= hi for length in below)
+                if d is None:
+                    assert not in_window
+                    dropped += 1
+                elif k + d + 1 >= lo:
+                    assert in_window
+                    accepted += 1
+                asked += 1
+    assert dropped > 10_000 and accepted > 10_000 and asked > dropped + accepted
+
+
+def test_window_never_makes_more_nodes_than_no_max_len(kernel, corpus_le7):
+    """The route drops every subtree that the cut drops, so a windowed
+    search makes no more DFS nodes than the same min_len with no max_len."""
+    for g, windows in window_cases(corpus_le7):
+        for lo, hi in windows:
+            assert node_count(kernel, g, lo, hi) <= node_count(kernel, g, lo)
+
+
+# DFS nodes of Myc4's windows, and of the first hits on the nine findhole
+# gadgets that perfbench holes-window times (l = 24..32, paths (2, 2, 4))
+MYC4_WINDOW_NODES = [29_139, 33_329, 33_389]
+GADGET_FIRST_HIT_NODES = [22, 44, 176, 50, 26, 52, 231, 58, 30]
+
+
+def test_windowed_node_counts_are_pinned(kernel):
+    myc4 = standard_family("mycielski_iterate", 4)
+    got = [node_count(kernel, myc4, lo, hi) for lo, hi in MYC4_WINDOWS]
+    assert got == MYC4_WINDOW_NODES
+    hits = [
+        first_hit_count(kernel, findhole_gadget(ell, 2, 2, 4), ell, ell)[1]
+        for ell in range(24, 33)
+    ]
+    assert hits == GADGET_FIRST_HIT_NODES
 
 
 def test_loop_matches_reference_loop(corpus_le7):
