@@ -10,9 +10,6 @@ from __future__ import annotations
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_NODE_BUDGET = 10**8
-# is_k_balanced's default subgraph budget: graphs on at most 20 vertices get
-# the exhaustive check, larger ones a sampled one
-EXHAUSTIVE_SUBSETS = 1 << 20
 
 
 class Budget:

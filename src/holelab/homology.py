@@ -43,20 +43,19 @@ Every answer is exact, and no face is listed unless a rank needs it.
   recursion would pass the interpreter's recursion limit: it takes one
   frame per removed vertex, so only graphs of about a thousand vertices.
 
-Exhaustive k-balance reads S_even - S_odd = I(S; -1) for every vertex
-subset S from one table filled by the deletion recurrence; sampled k-balance
-reads each sampled subset's polynomial from its vertex mask in the host
-graph.
+k-balance reads S_even - S_odd = I(S; -1) for every vertex subset S from
+one table filled by the deletion recurrence, charged 2^n nodes before it is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 from typing import Callable, Iterable
 
-from .budget import EXHAUSTIVE_SUBSETS, Budget, ensure_budget
+from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError, budget_message
 from .graph import Graph, bits, mask_of, reach
 
@@ -95,22 +94,21 @@ class BalanceVerdict:
     k: int
     balanced: bool
     violation: frozenset[int] | None
-    exhaustive: bool
     imbalance: int | None = None  # |S_even - S_odd| of the violation, if any
 
 
 def _polynomials(
-    adj: tuple[int, ...], ground: int, budget: Budget
+    adj: tuple[int, ...], budget: Budget
 ) -> Callable[[int], list[int]]:
     """coefficients(mask): the independence polynomial of the subgraph
-    induced on a mask inside ground, lowest degree first, from one memo.
+    induced on a vertex mask, lowest degree first, from one memo.
 
-    A polynomial is packed into one integer with a field of width |ground|+1
-    bits per coefficient; no coefficient of a subgraph on k <= |ground|
+    A polynomial is packed into one integer with a field of width n+1 bits
+    per coefficient, n = len(adj); no coefficient of a subgraph on k <= n
     vertices reaches 2^k, so fields never carry and packed addition,
     shifting and multiplication are those of the polynomials.
     """
-    width = ground.bit_count() + 1
+    width = len(adj) + 1
     one_plus_x = 1 + (1 << width)
     memo: dict[int, int] = {}
 
@@ -169,8 +167,7 @@ def independence_polynomial(
     vertex masks (see `_polynomials`); no stable set is listed.
     """
     budget = ensure_budget(budget)
-    full = g.full_mask()
-    return tuple(_polynomials(g.adjacency_masks(), full, budget)(full))
+    return tuple(_polynomials(g.adjacency_masks(), budget)(g.full_mask()))
 
 
 def _parity(coefficients: list[int] | tuple[int, ...]) -> tuple[int, int]:
@@ -354,7 +351,7 @@ def betti_numbers(g: Graph, budget: Budget | None = None) -> BettiReport:
     budget = ensure_budget(budget)
     adj = g.adjacency_masks()
     full = g.full_mask()
-    coefficients = _polynomials(adj, full, budget)
+    coefficients = _polynomials(adj, budget)
     whole = coefficients(full)
     betti: list[int] = []
     if g.n:
@@ -395,67 +392,27 @@ def _signed_counts(g: Graph) -> list[int]:
     return table
 
 
-def is_k_balanced(
-    g: Graph,
-    k: int,
-    subgraph_budget: int = EXHAUSTIVE_SUBSETS,
-    seed: int = 0,
-    budget: Budget | None = None,
-) -> BalanceVerdict:
+def is_k_balanced(g: Graph, k: int, budget: Budget | None = None) -> BalanceVerdict:
     """Does every induced subgraph have |S_even - S_odd| <= k?
 
-    Exhaustive over all vertex subsets when 2^n fits in subgraph_budget:
-    the budget is charged 2^n nodes up front, one table holds
-    S_even - S_odd = I(S; -1) for every subset S (see `_signed_counts`),
-    and, if any entry exceeds k, subsets are scanned by size,
-    lexicographically within a size, until the first violation. The table
-    is integer arithmetic on exact counts, so the verdict is exact.
-    Otherwise checks all subsets up to a size cap plus seeded random
-    subsets, each through the independence polynomial of its vertex mask
-    in g, and marks the verdict as non-exhaustive. A returned violation
-    witness is always definite.
+    Exhaustive over all vertex subsets: the budget is charged 2^n nodes up
+    front, so a graph past it raises BudgetExceededError before anything
+    is allocated. One table then holds S_even - S_odd = I(S; -1) for every
+    subset S (see `_signed_counts`) and, if any entry exceeds k, subsets
+    are scanned by size, lexicographically within a size, until the first
+    violation. The table is integer arithmetic on exact counts, so the
+    verdict is exact.
     """
     if k < 0:
         raise InputError("balance threshold must be nonnegative")
-    if subgraph_budget < 1:
-        raise InputError("subgraph budget must be at least 1")
     budget = ensure_budget(budget)
-
-    if (1 << g.n) <= subgraph_budget:
-        budget.tick(1 << g.n)
-        signed = _signed_counts(g)
-        if max(map(abs, signed)) <= k:
-            return BalanceVerdict(k, True, None, True)
-        for size in range(g.n + 1):
-            for subset in combinations(range(g.n), size):
-                diff = abs(signed[mask_of(subset)])
-                if diff > k:
-                    return BalanceVerdict(k, False, frozenset(subset), True, diff)
-        return BalanceVerdict(k, True, None, True)
-    # sampled mode: small subsets exhaustively, then random ones
-    import random
-
-    adj = g.adjacency_masks()
-
-    def imbalance(subset: Iterable[int]) -> tuple[int, frozenset[int]]:
-        mask = mask_of(subset)
-        even, odd = _parity(_polynomials(adj, mask, budget)(mask))
-        return abs(even - odd), frozenset(bits(mask))
-
-    checked = 0
-    cap = 0
-    while cap < g.n and checked + comb(g.n, cap + 1) <= subgraph_budget // 2:
-        cap += 1
-        checked += comb(g.n, cap)
-    for size in range(cap + 1):
+    budget.tick(1 << g.n)
+    signed = _signed_counts(g)
+    if max(map(abs, signed)) <= k:
+        return BalanceVerdict(k, True, None)
+    for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):
-            diff, keep = imbalance(subset)
+            diff = abs(signed[mask_of(subset)])
             if diff > k:
-                return BalanceVerdict(k, False, keep, False, diff)
-    rng = random.Random(seed)
-    for _ in range(max(subgraph_budget // 2, 1)):
-        subset = [v for v in range(g.n) if rng.random() < 0.5]
-        diff, keep = imbalance(subset)
-        if diff > k:
-            return BalanceVerdict(k, False, keep, False, diff)
-    return BalanceVerdict(k, True, None, False)
+                return BalanceVerdict(k, False, frozenset(subset), diff)
+    return BalanceVerdict(k, True, None)

@@ -140,21 +140,23 @@ def test_report_serialization_is_deterministic(tmp_path):
     assert json.loads(pa.read_text())["elapsed_seconds"] is not None
 
 
-def test_kalai_balance_skips_a_graph_too_large_for_exhaustion(monkeypatch):
-    """An entry on more than 20 vertices is skipped before any search: a
-    sampled balance check could not settle the predicate."""
+def test_kalai_balance_settles_a_graph_past_twenty_vertices(monkeypatch):
+    """Balance is exact on every graph within the node budget, so an entry
+    on 21 vertices is checked like any other: C21 has I(C21; -1) = 2, as 3
+    divides 21, and is not 1-balanced, which settles the predicate."""
     sizes = []
 
-    def recording(g, k, subgraph_budget=1 << 20, seed=0, budget=None):
+    def recording(g, k, budget=None):
         sizes.append(g.n)
-        return is_k_balanced(g, k, subgraph_budget, seed, budget)
+        return is_k_balanced(g, k, budget)
 
     monkeypatch.setattr(campaign, "is_k_balanced", recording)
     corpus = entries_of(Graph(21, cycle_graph(21)), Graph(4, cycle_graph(4)))
     out = report_as_dict(run_campaign("kalai_balance", corpus, {"k": 1}))
-    assert sizes == [0, 4]  # the null-graph probe of the parameters, then C4
-    assert out["verdicts"][0]["detail"] == {"skipped": "balance check not exhaustive"}
+    assert sizes == [0, 21, 4]  # the null-graph probe of the parameters, then each entry
+    assert out["verdicts"][0]["detail"] == {"k": 1, "balanced": False}
     assert out["verdicts"][1]["detail"]["balanced"] is True
+    assert out["counterexamples"] == []
 
 
 def test_predicates_tuple_matches_registry():

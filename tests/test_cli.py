@@ -226,19 +226,67 @@ def test_balance_command_exit_codes(corpus, tmp_path):
     assert row["balanced"] is False and row["imbalance"] == 2
 
 
-def test_balance_budget_exit_code(corpus, tmp_path):
-    # exhaustive balance charges 2^n nodes before it builds its table; the
-    # argument check on the null graph charges no budget of the caller's
+def test_balance_budget_exit_code(corpus, tmp_path, monkeypatch):
+    """Balance charges 2^n nodes before it builds its table: C12 needs
+    exactly 4096, and C40 is refused at once under the default budget. The
+    argument check on the null graph charges no budget of the caller's."""
+    from holelab import homology
+
     out = tmp_path / "b.json"
-    for limit in ("2", "0"):
-        code = main(
-            [
-                "--json-out", str(out), "--budget-nodes", limit,
-                "balance", corpus(complete_graph(2)), "--k", "1",
-            ]
-        )
-        assert code == EXIT_BUDGET
-        assert "budget_error" in json.loads(out.read_text())[0]
+    built = homology._signed_counts
+
+    def unbuilt(graph):  # the argument check on the null graph may build its table
+        assert graph.n == 0, "subset table built before the budget was charged"
+        return built(graph)
+
+    cases = [
+        (complete_graph(2), ["--budget-nodes", "2"], EXIT_BUDGET),
+        (complete_graph(2), ["--budget-nodes", "0"], EXIT_BUDGET),
+        (Graph(12, cycle_graph(12)), ["--budget-nodes", "4095"], EXIT_BUDGET),
+        (Graph(12, cycle_graph(12)), ["--budget-nodes", "4096"], EXIT_CLEAN),
+        (Graph(40, cycle_graph(40)), [], EXIT_BUDGET),
+    ]
+    for g, limit, code in cases:
+        with monkeypatch.context() as m:
+            if code == EXIT_BUDGET:
+                m.setattr(homology, "_signed_counts", unbuilt)
+            argv = ["--json-out", str(out), *limit, "balance", corpus(g), "--k", "2"]
+            assert main(argv) == code
+        [row] = json.loads(out.read_text())
+        if code == EXIT_BUDGET:
+            assert list(row) == ["entry", "k", "budget_error"]
+        else:
+            assert row == {"entry": 0, "k": 2, "balanced": True, "exhaustive": True}
+
+
+def test_balance_is_exact_past_twenty_vertices(corpus, tmp_path):
+    """C21 on 21 vertices gets an exact verdict. Its proper induced
+    subgraphs are unions of paths, each with I(P; -1) in {-1, 0, 1}, and
+    I(C21; -1) = 2 as 3 divides 21: 2-balanced, and only the whole graph
+    breaks 1-balance."""
+    path = corpus(Graph(21, cycle_graph(21)))
+    out = tmp_path / "b.json"
+    assert main(["--json-out", str(out), "balance", path, "--k", "2"]) == EXIT_CLEAN
+    assert json.loads(out.read_text()) == [
+        {"entry": 0, "k": 2, "balanced": True, "exhaustive": True}
+    ]
+    assert main(["--json-out", str(out), "balance", path, "--k", "1"]) == EXIT_COUNTEREXAMPLE
+    assert json.loads(out.read_text()) == [
+        {
+            "entry": 0, "k": 1, "balanced": False, "exhaustive": True,
+            "violation": list(range(21)), "imbalance": 2,
+        }
+    ]
+    argv = ["--json-out", str(out), "verify", "kalai_balance", path, "--param", "k=1"]
+    assert main(argv) == EXIT_CLEAN
+    assert json.loads(out.read_text())["verdicts"][0]["detail"] == {"k": 1, "balanced": False}
+
+
+def test_balance_has_no_subgraph_budget_option(corpus, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["balance", corpus(complete_graph(2)), "--k", "1", "--subgraph-budget", "64"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "--subgraph-budget" in capsys.readouterr().err
 
 
 def test_gadget_command(tmp_path, capsys):
@@ -526,8 +574,6 @@ MALFORMED = [
     pytest.param("holes {ok} --min-len 3", None, id="holes-min-len"),
     pytest.param("holes {ok} --ell 3 --d -1", None, id="holes-d"),
     pytest.param("balance {ok} --k -1", None, id="balance-k"),
-    pytest.param("balance {ok} --k 1 --subgraph-budget 0", None, id="balance-subgraph-budget-0"),
-    pytest.param("balance {ok} --k 1 --subgraph-budget -1", None, id="balance-subgraph-budget-neg"),
     pytest.param("invariants {ok} --rho 0", None, id="invariants-rho"),
     # an argument is rejected before any graph is read, so an empty corpus
     # fails the same way
@@ -535,16 +581,6 @@ MALFORMED = [
     pytest.param("holes {empty} --min-len 3", None, id="holes-min-len-empty"),
     pytest.param("holes {empty} --ell 3 --d -1", None, id="holes-d-empty"),
     pytest.param("balance {empty} --k -1", None, id="balance-k-empty"),
-    pytest.param(
-        "balance {empty} --k 1 --subgraph-budget 0",
-        None,
-        id="balance-subgraph-budget-0-empty",
-    ),
-    pytest.param(
-        "balance {empty} --k 1 --subgraph-budget -1",
-        None,
-        id="balance-subgraph-budget-neg-empty",
-    ),
     pytest.param("invariants {empty} --rho 0", None, id="invariants-rho-empty"),
     *(
         pytest.param(

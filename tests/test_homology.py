@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -95,10 +94,10 @@ def test_betti_alternating_sum_is_euler():
 def test_balance_small_cases():
     # K2: every subgraph has imbalance at most 1; the whole has (1, 2)
     v = is_k_balanced(Graph(2, [(0, 1)]), 1)
-    assert v.balanced and v.exhaustive and v.violation is None
+    assert v.balanced and v.violation is None
     # K3 contains K2 with |e - o| = 1 > 0
     v = is_k_balanced(complete_graph(3), 0)
-    assert not v.balanced and v.exhaustive
+    assert not v.balanced
     assert v.imbalance > 0
     # the violation witness is definite: recompute its imbalance
     sub, _ = complete_graph(3).induced_subgraph(v.violation)
@@ -116,36 +115,6 @@ def test_balance_k3_is_2_balanced():
     v = is_k_balanced(complete_graph(3), 1)
     assert not v.balanced and v.imbalance == 2
     assert is_k_balanced(complete_graph(3), 2).balanced
-
-
-def test_balance_sampled_mode_flags_non_exhaustive():
-    g = Graph(8, cycle_graph(8))
-    v = is_k_balanced(g, 1, subgraph_budget=64, seed=3)
-    assert not v.exhaustive
-    # the same check run exhaustively must agree or find more
-    full = is_k_balanced(g, 1)
-    assert full.exhaustive
-    if v.balanced:
-        pass  # sampling may miss violations but must not invent them
-    else:
-        assert not full.balanced
-
-
-def test_sampled_balance_violations_are_definite():
-    """On K12 with k = 1 every set of three or more vertices violates. A
-    subgraph budget of 596 checks sizes up to 3 in full, and finds the
-    violation there; one of 26 checks sizes up to 1 only, and finds it among
-    the random subsets. Either witness is a real violation."""
-    g = complete_graph(12)
-    for subgraph_budget, size in ((596, 3), (26, None)):
-        v = is_k_balanced(g, 1, subgraph_budget=subgraph_budget, seed=1)
-        assert not v.exhaustive and not v.balanced
-        if size is not None:
-            assert v.violation == frozenset(range(size))
-        assert len(v.violation) >= 3
-        sub, _ = g.induced_subgraph(v.violation)
-        even, odd = oracle_parity(sub)
-        assert v.imbalance == abs(even - odd) > 1
 
 
 def test_budget_propagates():
@@ -248,8 +217,8 @@ def oracle_balance(scan: list, k: int) -> BalanceVerdict:
     """The verdict of a subset scan: its first subset with imbalance > k."""
     for keep, diff in scan:
         if diff > k:
-            return BalanceVerdict(k, False, keep, True, diff)
-    return BalanceVerdict(k, True, None, True)
+            return BalanceVerdict(k, False, keep, diff)
+    return BalanceVerdict(k, True, None)
 
 
 def test_rank_matches_fraction_elimination():
@@ -344,12 +313,6 @@ def test_exhaustive_balance_charges_its_table_first(monkeypatch):
     assert budget.used == 1 << 8
 
 
-@pytest.mark.parametrize("subgraph_budget", [0, -1])
-def test_balance_rejects_subgraph_budget_below_one(subgraph_budget):
-    with pytest.raises(InputError):
-        is_k_balanced(Graph(4, cycle_graph(4)), 1, subgraph_budget=subgraph_budget)
-
-
 def test_counting_and_folding_match_listing_on_le7(corpus_le7):
     assert len(corpus_le7) == 1253
     for g in corpus_le7:
@@ -441,51 +404,3 @@ def test_faces_are_charged_before_the_first_is_listed(monkeypatch):
         with pytest.raises(BudgetExceededError):
             betti_numbers(g, Budget(seen["used"] - 1))
     assert betti_numbers(g, Budget(None)) == listing_betti(g)
-
-
-def per_subgraph_sampled_balance(g: Graph, k: int, subgraph_budget: int, seed: int) -> BalanceVerdict:
-    """Sampled k-balance through induced subgraphs: the same subsets in the
-    same order, each through its own induced subgraph and
-    `independence_parity`; the reference for reading each subset's mask in
-    the host graph."""
-    def imbalance(subset):
-        sub, keep = g.induced_subgraph(subset)
-        e, o = independence_parity(sub)
-        return abs(e - o), frozenset(keep)
-
-    checked = cap = 0
-    while cap < g.n and checked + comb(g.n, cap + 1) <= subgraph_budget // 2:
-        cap += 1
-        checked += comb(g.n, cap)
-    subsets = [s for size in range(cap + 1) for s in combinations(range(g.n), size)]
-    rng = random.Random(seed)
-    for _ in range(max(subgraph_budget // 2, 1)):
-        subsets.append([v for v in range(g.n) if rng.random() < 0.5])
-    for subset in subsets:
-        diff, keep = imbalance(subset)
-        if diff > k:
-            return BalanceVerdict(k, False, keep, False, diff)
-    return BalanceVerdict(k, True, None, False)
-
-
-def test_sampled_balance_matches_per_subgraph_path():
-    rng = random.Random(59)
-    verdicts = set()
-    for trial in range(60):
-        g = random_graph(rng, rng.randrange(8, 13), rng.uniform(0.15, 0.6))
-        budget = rng.choice([8, 40, 200])
-        for k in (0, 1, 2, 3):
-            got = is_k_balanced(g, k, subgraph_budget=budget, seed=trial)
-            assert not got.exhaustive
-            assert got == per_subgraph_sampled_balance(g, k, budget, trial), (g, k)
-            verdicts.add(got.balanced)
-    assert verdicts == {True, False}
-
-
-def test_sampled_balance_builds_no_induced_subgraph(monkeypatch):
-    def refused(self, vertices):
-        raise AssertionError("induced_subgraph built in sampled balance")
-
-    g = random_graph(random.Random(2), 12, 0.3)
-    monkeypatch.setattr(Graph, "induced_subgraph", refused)
-    assert not is_k_balanced(g, 1, subgraph_budget=64, seed=5).exhaustive

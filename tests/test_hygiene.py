@@ -209,9 +209,8 @@ def test_the_check_reads_c_defines():
 def test_the_parser_tables_agree_with_their_owners():
     """The parser builds without importing a subcommand's modules, so it
     restates the verify predicates and the gadget kinds with their
-    parameter counts, and takes the subgraph budget from a light module;
-    these must equal what the subcommands run."""
-    from holelab import budget, campaign, cli, gadgets, homology
+    parameter counts; these must equal what the subcommands run."""
+    from holelab import campaign, cli, gadgets
 
     commands = cli.build_parser()._subparsers._group_actions[0].choices
     option = {
@@ -228,9 +227,23 @@ def test_the_parser_tables_agree_with_their_owners():
     }
     arity["crest"] = 1 + arity["multicover"]
     assert cli.GADGET_PARAMS == {**arity, **gadgets.FAMILY_PARAMS}
-    subsets = inspect.signature(homology.is_k_balanced).parameters["subgraph_budget"]
-    assert option["balance"]["subgraph_budget"].default == subsets.default
-    assert subsets.default is budget.EXHAUSTIVE_SUBSETS
+
+
+def test_only_gadgets_imports_random():
+    """Every answer but a seeded gadget's is exact: no module but gadgets
+    draws random numbers, so no sampled verdict can come back unseen."""
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "random" in names:
+                importers.append(str(path.relative_to(PACKAGE)))
+    assert sorted(set(importers)) == ["gadgets.py"]
 
 
 def public_functions(module) -> set[str]:
