@@ -1,8 +1,9 @@
 """Explicit gadget constructions and standard test-substrate families.
 
-The CLI's parser reads FAMILY_PARAMS, so this module imports no more than
-it must at load time: the multicover builders import structures, and the
-random family imports random, when they run.
+The `gadget` subcommand loads this module for every kind, so it imports
+no more than it must at load time: the multicover and crest builders
+import structures, and the random family imports random, only for the
+kinds that need them.
 """
 
 from __future__ import annotations

@@ -2,24 +2,24 @@
 
 Same algorithm as the pure-Python kernel (see _pycore.py for the full
 description): anchored DFS over induced paths, pruned before each push.
-Both prunes ask route_length, a level BFS over the sets of route_sets:
-from the extension's children through the vertices that can grow the path
-past them (region) to those that would close it (target). It finds d, the
-fewest edges of such a route, and a shortest route is chordless, so the
-subtree's shortest hole has d + 2 more edges than the path. A search with
-no max_len runs the cut: it asks route_length with bound n and keeps the
-frame only where a route exists, so it drops just the subtrees that hold
-no hole, and the stream is unchanged. A windowed search runs the
-completion-feasibility prune in the same three layers as the pure kernel:
-the route, bounded by the most edges the window leaves, the gate and the
-chain-contraction sweep. The route settles exactly every call where the
-shortest hole is too long for the window, or none, and every call where
-it is long enough; the rest go on to the gate and the sweep. Its sets,
-like every bitset here, are n bits wide, so they live in the HoleSearch
-word block. The kernels differ only in how the contraction is made: the
-pure kernel patches the one it kept, and this one builds it afresh for
-each call that reaches the sweep. Bitsets are fixed-width word arrays
-instead of Python ints. The emitted hole stream is identical to the
+Every search has a window [min_len, max_len], with max_len = n where none
+is given, since no hole is longer than the graph, and every push runs the
+one completion-feasibility prune in the same three layers as the pure
+kernel: the route, the gate and the chain-contraction sweep. The route,
+route_length over the sets of route_sets, is a level BFS from the
+extension's children through the vertices that can grow the path past
+them (region) to those that would close it (target), bounded by the most
+edges the window leaves. It finds d, the fewest edges of such a route, and
+a shortest route is chordless, so the subtree's shortest hole has d + 2
+more edges than the path. So the route settles exactly every call where
+the shortest hole is too long for the window, or none, and every call
+where it is long enough; the rest go on to the gate and the sweep. With
+min_len 4 it settles every call, and the prune drops just the subtrees
+that hold no hole. Its sets, like every bitset here, are n bits wide, so
+they live in the HoleSearch word block. The kernels differ only in how
+the contraction is made: the pure kernel patches the one it kept, and
+this one builds it afresh for each call that reaches the sweep. Bitsets
+are fixed-width word arrays instead of Python ints. The emitted hole stream is identical to the
 pure kernel's, since pruning is sound. The DFS nodes coincide too: both
 kernels cut the same frames, find the same route lengths, discover
 superedges in the same order, give the i-th odd superedge subset bit i
@@ -27,14 +27,14 @@ superedges in the same order, give the i-th odd superedge subset bit i
 GATE_RATIO. A gate accept need not be the sweep's verdict, so the kernels
 agree node for node only while they gate alike.
 
-The cut made unwindowed searches smaller: Myc5 (mycielski_iterate 5),
-all 5,567,415 holes, 21,327,605 DFS nodes before and 7,949,755 after;
+The route made searches smaller. With no max_len, where it replaced no
+prune at all: Myc5 (mycielski_iterate 5), all 5,567,415 holes,
+21,327,605 DFS nodes before and 7,949,755 after;
 standard_family("random", 60, 8, seed=1), 8,700,984 before and 2,237,787
-after. The route did the same for windowed ones, which a BFS from the
-path's end to the anchor through the whole residual graph had settled
-before: Myc5's window [16, 16] went from 17,050,119 nodes to 7,948,513,
-and Myc4's [13, 13] from 76,652 to 33,389. A node budget thus lasts
-longer there.
+after. With a narrow window, where it replaced a BFS from the path's end
+to the anchor through the whole residual graph: Myc5's window [16, 16]
+went from 17,050,119 nodes to 7,948,513, and Myc4's [13, 13] from 76,652
+to 33,389. A node budget thus lasts longer there.
 
 The kernel only counts; it never raises over a budget. counter[0] holds
 the DFS nodes made so far whenever control leaves the kernel, and a search
@@ -93,7 +93,7 @@ static inline int any_bit(const u64 *w, int nw)
 /* Iterator over the canonical hole stream of one graph. */
 typedef struct {
     PyObject_HEAD
-    int n, nw, min_len, max_len, anchor, depth, has_max, exhausted;
+    int n, nw, min_len, max_len, anchor, depth, exhausted;
     long long budget, nodes;     /* budget < 0: unlimited */
     PyObject *counter;           /* counter[0] = nodes at every return, or NULL */
     long long reported;          /* the count last stored in counter[0] */
@@ -168,9 +168,9 @@ static int gcd(int a, int b)
     return a;
 }
 
-/* The sets of the cut and of the prune's route, for the extension u just
-   made at s->depth (see _pycore.find_holes): u's children (the ext frame
-   at s->depth) in frontier, the vertices through which the path can grow
+/* The sets of the prune's route, for the extension u just made at
+   s->depth (see _pycore.find_holes): u's children (the ext frame at
+   s->depth) in frontier, the vertices through which the path can grow
    past them in region, and those that would close it in target. Returns
    0 where target is empty, so that u's subtree holds no hole. */
 static int route_sets(HoleSearch *s, int u)
@@ -191,7 +191,7 @@ static int route_sets(HoleSearch *s, int u)
     return any_bit(target, nw);
 }
 
-/* Layer 1 of the prune, and the cut (see _pycore._route): the fewest
+/* Layer 1 of the prune (see _pycore._completion_feasible): the fewest
    edges on a route from a vertex of frontier through region to one of
    target, the sets of route_sets, or -1 where every route has more than
    bound edges. A level BFS from the children that stops at the first
@@ -227,8 +227,8 @@ static int route_length(HoleSearch *s, int bound)
     return -1;
 }
 
-/* The windowed prune, run after route_sets: can a hole of the window still
-   close below start, the extension just made? The route settles the call
+/* The prune, run after route_sets: can a hole of the window still close
+   below start, the extension just made? The route settles the call
    where the subtree's shortest hole is too long, or long enough; otherwise
    the gate and the sweep ask whether a simple path from start back to the
    current anchor, of a length that gives a hole of the window, can still
@@ -239,11 +239,10 @@ static int completion_feasible(HoleSearch *s, int start)
     int nw = s->nw, anchor = s->anchor, nb = 0, n_live = 0, slots = 0, g = 0, n_odd = 0;
     /* the return path has s->depth fewer edges than the hole */
     int lo = s->min_len - s->depth, hi = s->max_len - s->depth;
-    if (lo < 2)
-        lo = 2;
     int route = route_length(s, hi - 2);
     if (route < 0 || route + 2 >= lo)
         return route >= 0;
+    /* a route has at least one edge, so from here on lo > 3 */
     for (int i = 0; i < nw; i++)
         s->live[i] = s->gt[i] & ~s->banned[s->depth * nw + i];
     set_bit(s->live, start);
@@ -449,7 +448,7 @@ static PyObject *hs_next(HoleSearch *s)
         /* closures: candidates adjacent to the anchor, if the resulting
            cycle length lands in the requested window */
         frame = s->clos + s->depth * nw;
-        if (new_depth + 1 >= s->min_len && (!s->has_max || new_depth + 1 <= s->max_len)) {
+        if (new_depth + 1 >= s->min_len && new_depth + 1 <= s->max_len) {
             for (int i = 0; i < nw; i++)
                 frame[i] = cand[i] & adj_anchor[i];
             if (s->depth >= 2) {
@@ -462,20 +461,15 @@ static PyObject *hs_next(HoleSearch *s)
         }
         /* extensions: candidates not adjacent to the anchor */
         frame = s->ext + s->depth * nw;
-        if (s->has_max && new_depth + 2 > s->max_len) {
+        if (new_depth + 2 > s->max_len) {
             memset(frame, 0, nw * sizeof(u64));
         } else {
             for (int i = 0; i < nw; i++)
                 frame[i] = cand[i] & ~adj_anchor[i];
-            /* keep u's children only where a path through them closes a
-               hole: of any length with no max_len (the cut), and else one
-               the window may still hold (the prune) */
-            if (any_bit(frame, nw)) {
-                int keep = route_sets(s, u)
-                           && (s->has_max ? completion_feasible(s, u) : route_length(s, s->n) >= 0);
-                if (!keep)
-                    memset(frame, 0, nw * sizeof(u64));
-            }
+            /* keep u's children only where a hole of the window may still
+               close below them */
+            if (any_bit(frame, nw) && !(route_sets(s, u) && completion_feasible(s, u)))
+                memset(frame, 0, nw * sizeof(u64));
         }
         if (any_bit(s->clos + s->depth * nw, nw) || any_bit(s->ext + s->depth * nw, nw)) {
             s->path[s->depth] = u;
@@ -535,13 +529,14 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     static char *kwlist[] = {"adj", "n", "min_len", "max_len", "budget", "counter", NULL};
     PyObject *masks, *min_len = NULL, *max_len = Py_None, *budget = Py_None, *counter = Py_None;
     int n;
-    long long lo = 4, hi = -1, limit = -1;
+    long long lo = 4, hi, limit = -1;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Oi|OOOO:find_holes", kwlist,
                                      &masks, &n, &min_len, &max_len, &budget, &counter))
         return NULL;
     n = n > 0 ? n : 0;  /* like range(n) in the pure kernel */
-    /* no hole is shorter than 4 or longer than the graph; a budget too
-       large for a long long is never reached */
+    /* no hole is shorter than 4 or longer than the graph, so no max_len is
+       max_len = n; a budget too large for a long long is never reached */
+    hi = n;
     if ((min_len != NULL && clamped(min_len, 4, n + 1LL, &lo) < 0)
         || (max_len != Py_None && clamped(max_len, -1, n, &hi) < 0)
         || (budget != Py_None && clamped(budget, -1, LLONG_MAX, &limit) < 0))
@@ -558,7 +553,6 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
     s->n = n;
     s->nw = n > 0 ? (n + 63) >> 6 : 1;
     s->min_len = (int)lo;
-    s->has_max = max_len != Py_None;
     s->max_len = (int)hi;
     s->budget = limit;
     s->anchor = -1;
@@ -567,7 +561,7 @@ static PyObject *find_holes(PyObject *Py_UNUSED(module), PyObject *args, PyObjec
         Py_INCREF(counter);
         s->counter = counter;
     }
-    s->exhausted = s->has_max && s->max_len < s->min_len;
+    s->exhausted = s->max_len < s->min_len;
     size_t nw = s->nw, rows = n > 0 ? n : 1, cap = n + 2;
     u64 *w = s->words = PyMem_Calloc((rows + 7 + 3 * cap) * nw, sizeof(u64));
     if (w == NULL)

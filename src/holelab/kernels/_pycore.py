@@ -13,32 +13,20 @@ closes as soon as it is made (see find_holes). Before the DFS pushes the
 frame of an extension, it asks whether the frame's subtree can hold a hole
 that is wanted, and drops the extension's children where it cannot.
 
-With no upper length bound, any hole will do, and the question is one of
-reachability, which the cut answers exactly: a search for a route from
-the children through the vertices that could grow the path past them to
-one that would close it (see _route, asked with no bound that binds). A
-shortest such route, with its closing vertex, is chordless: so the
-subtree holds a hole exactly when a route exists. The cut thus drops only
-subtrees that close no hole and leaves the stream as it was; every frame
-pushed closes a hole, and a budget of DFS nodes lasts longer. On the
-sparse random graphs of perfbench holes-enum (seed 1), 619,221 of the
-730,562 nodes made without the cut lay in subtrees that close no hole;
-with it the search makes 156,433. A lower length bound alone keeps the
-cut: it stays sound, though a subtree it keeps may close only holes that
-are too short.
+Every search asks for the holes of a window [min_len, max_len], and with
+no max_len the window is [min_len, n], since no hole is longer than the
+graph. So one prune serves every search: whether a hole of the window can
+still close below the extension, a completion-feasibility test in three
+layers (see _completion_feasible):
 
-When an upper length bound is given, the question is whether a hole of
-the window can still close below the extension: a completion-feasibility
-test, in three layers:
-
-1. The route (see _route): the fewest edges d from one of the children,
-   through the vertices that could grow the path past them, to one of the
-   vertices that would close it, looked for up to the most edges a
-   hole of the window leaves. The subtree's shortest hole has d more
-   vertices than the path with the extension and its closing vertex. With
-   no route short enough, no hole of the window lies below, and the
-   children are dropped; where that shortest hole is long enough for the
-   window, it is a hole of the window, and they are kept.
+1. The route: the fewest edges d from one of the children, through the
+   vertices that could grow the path past them, to one of the vertices
+   that would close it, looked for up to the most edges a hole of the
+   window leaves. The subtree's shortest hole has d more vertices than
+   the path with the extension and its closing vertex. With no route
+   short enough, no hole of the window lies below, and the children are
+   dropped; where that shortest hole is long enough for the window, it is
+   a hole of the window, and they are kept.
 2. Otherwise, with a route too short for the window, the gate: where the
    branch vertices of the contraction below, start and anchor included,
    are more than 1/GATE_RATIO of the residual graph's vertices, the
@@ -51,22 +39,27 @@ test, in three layers:
    path from start to the anchor with an admissible total length can
    still exist (see _sweep).
 
-The route settles a call exactly, for the reason the cut is exact: a
-shortest route, with its closing vertex, is chordless, so it makes a hole
-with the path, one the DFS reaches by taking the route's vertices one by
-one; and the part of any hole below the extension is such a route (the
-argument behind chordless-path enumeration, Uno & Satoh 2014). Its
-length is so that of the subtree's shortest hole, and a route reject
-drops only subtrees that hold no hole of the window. The layer it
-replaced, a BFS from the path's end to the anchor through the whole
-residual graph, could not tell a return path that touches the anchor's
-other neighbours or closes below the second vertex: on perfbench
-holes-window (seed 1) the route halves the DFS nodes, 22,603 to 11,049,
-and about halves the prune's time.
+The route settles a call exactly: a shortest route, with its closing
+vertex, is chordless, so it makes a hole with the path, one the DFS
+reaches by taking the route's vertices one by one; and the part of any
+hole below the extension is such a route (the argument behind
+chordless-path enumeration, Uno & Satoh 2014). Its length is so that of
+the subtree's shortest hole, and a route reject drops only subtrees that
+hold no hole of the window. The layer it replaced, a BFS from the path's
+end to the anchor through the whole residual graph, could not tell a
+return path that touches the anchor's other neighbours or closes below
+the second vertex: on perfbench holes-window (seed 1) the route halves
+the DFS nodes, 22,603 to 11,049, and about halves the prune's time.
 
-The cut and the route are one search, the same in both kernels: the cut
-asks it with a bound of n and only wants to know whether it finds a
-route. It grows from the children alone. Grown from both ends, the
+With min_len 4 any hole is long enough, so the route settles every call
+alone and the prune is an exact cut: it drops only subtrees that close no
+hole and leaves the stream as it was; every frame pushed closes a hole,
+and a budget of DFS nodes lasts longer. On the sparse random graphs of
+perfbench holes-enum (seed 1), 619,221 of the 730,562 nodes made without
+the cut lay in subtrees that close no hole; with it the search makes
+156,433.
+
+The route grows from the children alone. Grown from both ends, the
 smaller frontier stepping first (Pohl 1971, "Bi-directional search"), it
 made perfbench holes-window's wall_s about 7 % lower but holes-enum's
 about 3 % higher (seed 1, 10 alternating rounds each), for more code.
@@ -101,12 +94,12 @@ it overestimates. Accepting is always sound, since the test only ever
 rejects impossible completions, so pruning never changes the emitted set
 of holes; but a gate accept lets the DFS grow paths that the sweep would
 have cut, so where the DFS goes, and its node count, depends on the gate.
-The compiled kernel (_fastcore.c) runs the same cut and the same three
-layers, with the same GATE_RATIO on the same residual graphs, and differs
-only in building the contraction afresh for each call that reaches the
-sweep. So the two kernels give the same verdicts and agree hole for hole
-and DFS node for DFS node. This kernel is the compiled one's fallback
-where no C compiler is present, and its oracle in the tests.
+The compiled kernel (_fastcore.c) runs the same three layers, with the
+same GATE_RATIO on the same residual graphs, and differs only in building
+the contraction afresh for each call that reaches the sweep. So the two
+kernels give the same verdicts and agree hole for hole and DFS node for
+DFS node. This kernel is the compiled one's fallback where no C compiler
+is present, and its oracle in the tests.
 
 Both kernels only count. They report DFS nodes through the caller's
 `counter` and end the stream, raising nothing, at the node past their
@@ -165,21 +158,64 @@ def _completion_feasible(
     target: int,
 ) -> bool:
     """Can some simple path from start to anchor with length in [lo, hi]
-    (lo >= 2) exist within `allowed`? The three layers of the module
-    docstring, in order.
+    exist within `allowed`, the vertices still allowed on the path with
+    start? lo and hi are the window's bounds less the `depth` edges of the
+    path, and lo may be below 2. The three layers of the module docstring,
+    in order.
 
-    Layer 1 is the route (see _route): the fewest edges d from a vertex of
-    `children`, start's children, through `region` to one of `target`,
-    looked for up to hi - 2 edges. With no such route the call rejects,
-    and with d + 2 >= lo it accepts. Only a call whose route is too short
-    for the window goes on to the gate and the sweep (_gate_and_sweep).
+    Layer 1 is the route: the fewest edges d from a vertex of `children`,
+    start's children, through `region` to a vertex of `target`, looked for
+    up to hi - 2 edges. With no such route the call rejects, and with
+    d + 2 >= lo it accepts. Only a call whose route is too short for the
+    window goes on to the gate and the sweep (_gate_and_sweep); there
+    lo > d + 2 >= 3.
+
+    The route is a level BFS from `children` through `region` that stops
+    at the first vertex with a neighbour in `target`: the vertices of a
+    level are `edges - 1` steps from the children, and no level before had
+    such a neighbour, so no route is shorter. Each level's vertices leave
+    `region`, so none is visited twice.
+
+    The DFS asks it before it pushes the frame of an extension start. Let
+    `grown` be the vertices still allowed once start joins the path:
+    `allowed` minus start and its neighbours. `children` holds start's
+    children, `region` the vertices of `grown` off the anchor's
+    neighbours, through which the path can grow, and `target` those among
+    the anchor's neighbours above the path's second vertex, which close it
+    (the bound kills reflections); the three are disjoint. Take a shortest
+    route from a child through `region` to a vertex next to some z of
+    `target`. Its vertices that are not consecutive are not adjacent, and
+    z is adjacent to its last one only, or a shorter route would exist;
+    the child alone is adjacent to start, and no vertex of it to the
+    anchor or to the path before start. So the path, the route and z make
+    a hole of start's subtree, and the DFS reaches it by taking the
+    route's vertices one by one as children. Conversely, the part of any
+    hole in start's subtree after start is such a route. So where the
+    answer is d, the subtree's shortest hole has exactly d + 2 more edges
+    than the path from the anchor to start.
     """
-    d = _route(adj, children, region, target, hi - 2)
-    if d is None:
-        return False
-    return d + 2 >= lo or _gate_and_sweep(
-        adj, allowed, start, anchor, lo, hi, contractions, depth
-    )
+    # a while loop, not a range: most calls end within a step or two, and
+    # a range made per call cost holes-enum about 4 % of its wall_s
+    frontier = children
+    edges = 1
+    bound = hi - 2
+    while edges <= bound:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            nbrs = adj[low.bit_length() - 1]
+            if nbrs & target:
+                return edges + 2 >= lo or _gate_and_sweep(
+                    adj, allowed, start, anchor, lo, hi, contractions, depth
+                )
+            reach |= nbrs
+            frontier ^= low
+        frontier = reach & region
+        if not frontier:
+            return False
+        region ^= frontier
+        edges += 1
+    return False
 
 
 def _gate_and_sweep(
@@ -216,58 +252,6 @@ def _gate_and_sweep(
         con = _patch(adj, source, live, forced, (branch, redo))
     contractions[depth] = con
     return _sweep(con, start, anchor, lo, hi)
-
-
-def _route(
-    adj: Sequence[int], children: int, region: int, target: int, bound: int
-) -> int | None:
-    """The fewest edges on a route from a vertex of `children` through
-    `region` to a vertex of `target`, or None where every route has more
-    than `bound` edges. The three sets are disjoint.
-
-    A level BFS from `children` through `region` that stops at the first
-    vertex with a neighbour in `target`: the vertices of a level are
-    `edges - 1` steps from the children, and no level before had such a
-    neighbour, so no route is shorter. Each level's vertices leave
-    `region`, so none is visited twice.
-
-    The DFS asks it before it pushes the frame of an extension u: the cut
-    with a bound of n, and the prune with the most edges the window
-    leaves. Let `grown` be the vertices still allowed once u joins the
-    path: allowed minus u and its neighbours. `children` holds u's
-    children, `region` the vertices of `grown` off the anchor's
-    neighbours, through which the path can grow, and `target` those among
-    the anchor's neighbours above the path's second vertex, which close it
-    (the bound kills reflections). Take a shortest route from a child
-    through `region` to a vertex next to some z of `target`. Its vertices
-    that are not consecutive are not adjacent, and z is adjacent to its
-    last one only, or a shorter route would exist; the child alone is
-    adjacent to u, and no vertex of it to the anchor or to the path before
-    u. So the path, the route and z make a hole of u's subtree, and the
-    DFS reaches it by taking the route's vertices one by one as children.
-    Conversely, the part of any hole in u's subtree after u is such a
-    route. So where the answer is d, the subtree's shortest hole has
-    exactly d + 2 more edges than the path from the anchor to u.
-    """
-    # a while loop, not a range: most calls end within a step or two, and
-    # a range made per call cost holes-enum about 4 % of its wall_s
-    frontier = children
-    edges = 1
-    while edges <= bound:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            nbrs = adj[low.bit_length() - 1]
-            if nbrs & target:
-                return edges
-            reach |= nbrs
-            frontier ^= low
-        frontier = reach & region
-        if not frontier:
-            return None
-        region ^= frontier
-        edges += 1
-    return None
 
 
 class _Contraction:
@@ -679,7 +663,9 @@ def find_holes(
 ) -> Iterator[tuple[int, ...]]:
     """Yield each hole of the graph once, canonically oriented.
 
-    adj: per-vertex neighbor bitmasks of a loopless graph. counter: a
+    adj: per-vertex neighbor bitmasks of a loopless graph. min_len and
+    max_len: the window of hole lengths, clamped to [4, n]; no max_len is
+    max_len = n, since no hole is longer than the graph. counter: a
     one-item list; whenever the kernel hands control back (a hole, the end
     of the stream) counter[0] holds the number of DFS extensions made so
     far, so a caller can charge them to its own budget. budget: the number
@@ -698,11 +684,11 @@ def find_holes(
     `close` and `extend`, the parts of `allowed` through which a child
     closes a hole or grows the path, each empty where the length window
     rules that out at the child's depth. A frame is pushed on the stack as
-    one tuple only when the DFS descends, which it does where the cut (with
-    no max_len) or the completion test leaves the child children of its
-    own, and popped when its children are done. A node hands back the
-    holes it closes as soon as it is made, in increasing order of the
-    closing vertex, and before its own children are tried.
+    one tuple only when the DFS descends, which it does where the
+    completion test leaves the child children of its own, and popped when
+    its children are done. A node hands back the holes it closes as soon
+    as it is made, in increasing order of the closing vertex, and before
+    its own children are tried.
     """
     if budget is not None and budget < 0:
         raise ValueError("find_holes budget must be nonnegative")
@@ -712,18 +698,17 @@ def find_holes(
         counter = [0]
     if min_len < 4:
         min_len = 4
-    if max_len is not None and max_len > n:
-        max_len = n  # no hole can be longer than the graph
+    if max_len is None or max_len > n:
+        max_len = n  # no hole is longer than the graph
     nodes = counter[0] = 0
-    if max_len is not None and max_len < min_len:
+    if max_len < min_len:
         return
-    windowed = max_len is not None
     limit = budget if budget is not None else sys.maxsize
     # a frame at depth d (d vertices on the path) makes children that close
     # holes of length d + 2, and children that can be extended when a hole
     # of length d + 3 still fits; so no frame is deeper than max_len - 2
     close_lo = min_len - 2
-    extend_hi = max_len - 3 if windowed else n
+    extend_hi = max_len - 3
     # the last contraction the prune built at each DFS depth
     contractions: list[_Contraction | None] = [None] * (n + 1)
     for anchor in range(n):
@@ -733,7 +718,7 @@ def find_holes(
         far = allowed & ~adj_anchor
         ext = allowed & adj_anchor
         close = 0  # a child of the anchor would close a triangle
-        extend = far if extend_hi >= 1 else 0
+        extend = far  # max_len >= 4, so extend_hi >= 1
         path = [anchor]
         depth = 1
         stack = []
@@ -759,22 +744,15 @@ def find_holes(
                 # anchor's first neighbour on the path
                 closing = adj_anchor & ~((u_bit << 1) - 1)
             if ext_new:
-                # keep u's children only where a path through them closes
-                # a hole: of any length with no max_len (the cut, a route
-                # of any length), and else one the window may still hold
+                # keep u's children only where a hole of the window may
+                # still close below them; the return path has `depth` fewer
+                # edges than the hole
                 grown = allowed & ~(u_bit | adj_u)
                 target = grown & closing
-                if not target:
-                    ext_new = 0
-                elif windowed:
-                    # the return path has `depth` fewer edges than the hole
-                    if not _completion_feasible(
-                        adj, allowed & ~u_bit, u, anchor, max(min_len - depth, 2),
-                        max_len - depth, contractions, depth,
-                        ext_new, grown & far, target,
-                    ):
-                        ext_new = 0
-                elif _route(adj, ext_new, grown & far, target, n) is None:
+                if not target or not _completion_feasible(
+                    adj, allowed, u, anchor, min_len - depth, max_len - depth,
+                    contractions, depth, ext_new, grown & far, target,
+                ):
                     ext_new = 0
             clos_new = adj_u & close
             if clos_new:

@@ -118,10 +118,10 @@ def test_budget_exhaustion_ends_the_stream(kernel):
 
 
 # (min_len, max_len, budget) beyond any machine integer, on the Petersen
-# graph as `gadget petersen` builds it, with the holes and nodes they give:
-# the searches with no max_len run the cut, the others the prune
+# graph as `gadget petersen` builds it, with the holes and nodes they give;
+# [10^11, n] is an empty window, searched with no node
 HUGE_ARGUMENTS = [
-    pytest.param((10**11, None, None), 0, 53, id="min-len-1e11"),
+    pytest.param((10**11, None, None), 0, 0, id="min-len-1e11"),
     pytest.param((5, 10**20, None), 22, 53, id="max-len-1e20"),
     pytest.param((4, -(10**20), None), 0, 0, id="max-len-minus-1e20"),
     pytest.param((-(10**20), None, 10**23), 22, 53, id="budget-1e23"),
@@ -243,10 +243,13 @@ def test_prune_verdicts_match_full_sweep(monkeypatch):
     settled = {"reject": 0, "accept": 0}
     swept = {"graphs": [0, 0], "gadgets": [0, 0]}  # calls swept, rejects
     gated = 0
+    nbrs_of = {}  # id(adj) -> the neighbour sets that route_edges reads
     for i, (adj, allowed, start, anchor, lo, hi, _, _, *sets, verdict) in enumerate(calls):
         live = allowed | (1 << start) | (1 << anchor)
         sweep = _pycore._sweep_feasible(adj, live, start, anchor, lo, hi)
-        d = _pycore._route(adj, *sets, hi - 2)
+        if id(adj) not in nbrs_of:
+            nbrs_of[id(adj)] = [members(mask) for mask in adj]
+        d = route_edges(nbrs_of[id(adj)], *sets, hi - 2)
         if d is None or d + 2 >= lo:
             assert verdict == (d is not None) and (sweep or d is None)
             settled["accept" if verdict else "reject"] += 1
@@ -374,7 +377,8 @@ def test_window_keeps_hole_behind_untracked_anchor_edge(kernel):
 
 
 def test_windowed_stream_is_filtered_full_stream(kernel):
-    # the unwindowed search runs no prune, so it is an independent reference
+    # with min_len 4 and no max_len the route settles every prune call, so
+    # the full stream is a reference independent of the gate and the sweep
     cases = [(g, PRUNE_WINDOWS) for g in prune_graphs()]
     cases.append((standard_family("mycielski_iterate", 4), MYC4_WINDOWS))
     for g, windows in cases:
@@ -392,7 +396,7 @@ def budget_graphs():
     ]
 
 
-# (4, 200) runs the prune with a window wider than the graph
+# (4, 200): a window wider than the graph, clamped to [4, n] as no max_len is
 BUDGET_WINDOWS = [(4, None), (5, 8), (6, 6), (4, 200)]
 
 
@@ -445,6 +449,14 @@ def route_edges(nbrs, children, region, target, bound):
     return None
 
 
+def kernel_route_fits(adj, sets, bound):
+    """Does the kernel's route find a route of at most `bound` edges on the
+    sets (children, region, target)? Asked with a min_len that every route
+    meets, _completion_feasible accepts exactly where it does, and never
+    reaches the gate."""
+    return _pycore._completion_feasible(adj, 0, 0, 0, 3, bound + 2, [], 0, *sets)
+
+
 def reference_find_holes(
     adj, n, min_len=4, max_len=None, budget=None, counter=None, cut=True, barren=None,
     routes=None,
@@ -454,16 +466,17 @@ def reference_find_holes(
     The kernel must match it hole for hole, in the counter at every yield,
     and in where a budget stops it.
 
-    With no max_len, a child's frame is pushed only where its subtree
-    closes a hole (the cut); cut=False pushes it wherever the path can
-    grow, which makes the loop the plain enumeration of induced paths.
+    In the window (4, None), a child's frame is pushed only where its
+    subtree closes a hole (the cut); cut=False pushes it wherever the path
+    can grow, which makes the loop the plain enumeration of induced paths.
     barren, a list, gets the path of each frame popped with no hole handed
     back since its push, which a fifth stack, of hole counts, tells.
 
-    With a max_len, the route (route_edges) settles what it can, and only
-    a route too short for the window is left to the kernel's gate and
-    sweep. routes, a list, gets each route asked for: the path with the
-    extension, the sets and bound it was asked on, and its length.
+    In any other window, with max_len n where none is given, the route
+    (route_edges) settles what it can, and only a route too short for the
+    window is left to the kernel's gate and sweep. routes, a list, gets
+    each route asked for: the path with the extension, the sets and bound
+    it was asked on, and its length.
     """
     if counter is None:
         counter = [0]
@@ -472,7 +485,7 @@ def reference_find_holes(
     if max_len is not None and max_len > n:
         max_len = n
     nodes = counter[0] = 0
-    if max_len is not None and max_len < min_len:
+    if (n if max_len is None else max_len) < min_len:
         return
     contractions = [None] * (n + 1)
     nbrs = [members(mask) for mask in adj]
@@ -532,9 +545,9 @@ def reference_find_holes(
             second = path[1] if depth >= 2 else u
             closing = adj_anchor & ~((1 << (second + 1)) - 1)
             region, target = grown & ~adj_anchor, grown & closing
-            if ext_new and max_len is not None:
+            if ext_new and (max_len is not None or min_len > 4):
                 lo = max(min_len - (new_depth - 1), 2)
-                hi = max_len - (new_depth - 1)
+                hi = (n if max_len is None else max_len) - (new_depth - 1)
                 d = route_edges(nbrs, ext_new, region, target, hi - 2)
                 if routes is not None:
                     routes.append((tuple(path) + (u,), (ext_new, region, target, hi - 2), d))
@@ -565,16 +578,17 @@ def trace(find_holes, g, min_len, max_len, budget=None):
 
 
 # (4, 6): from the path's second vertex on, every route fits min_len, so
-# the route settles each call alone, and its bound is what drops subtrees
-ALL_WINDOWS = BUDGET_WINDOWS + PRUNE_WINDOWS + [(4, 6)]
+# the route settles each call alone, and its bound is what drops subtrees;
+# (6, None): the window [6, n], where routes too short go on to the gate
+ALL_WINDOWS = BUDGET_WINDOWS + PRUNE_WINDOWS + [(4, 6), (6, None)]
+
+
+def loop_graphs(corpus_le7):
+    return corpus_le7 + budget_graphs() + prune_graphs()
 
 
 def loop_cases(corpus_le7):
-    return [
-        (g, lo, hi)
-        for g in corpus_le7 + budget_graphs() + prune_graphs()
-        for lo, hi in ALL_WINDOWS
-    ]
+    return [(g, lo, hi) for g in loop_graphs(corpus_le7) for lo, hi in ALL_WINDOWS]
 
 
 def budgets_up_to(total):
@@ -660,7 +674,9 @@ def test_route_finds_the_shortest_hole_below_each_extension(corpus_le7, unpruned
     none where d would pass its bound or no such hole exists. So a route
     that is none drops only subtrees with no hole of the window, and one
     that gives a hole of at least min_len accepts only where such a hole
-    exists. The kernel's _route finds the same d from the same sets."""
+    exists. The kernel's route finds the same d from the same sets: asked
+    with a min_len the route always meets, _completion_feasible accepts
+    with bound d and rejects with bound d - 1."""
     cases = window_cases(corpus_le7)
     assert [g for g, _ in cases] == [g for g, *_ in unpruned]
     asked = dropped = accepted = 0
@@ -682,7 +698,9 @@ def test_route_finds_the_shortest_hole_below_each_extension(corpus_le7, unpruned
                     assert d is None
                 else:
                     assert d == shortest - k - 1
-                assert _pycore._route(adj, *sets, bound) == d
+                assert kernel_route_fits(adj, sets, bound) == (d is not None)
+                if d is not None:
+                    assert not kernel_route_fits(adj, sets, d - 1)
                 in_window = any(lo <= length <= hi for length in below)
                 if d is None:
                     assert not in_window
@@ -695,7 +713,9 @@ def test_route_finds_the_shortest_hole_below_each_extension(corpus_le7, unpruned
 
 
 def test_window_never_makes_more_nodes_than_no_max_len(kernel, corpus_le7):
-    """The route drops every subtree that the cut drops, so a windowed
+    """No max_len is max_len = n, and a smaller max_len prunes at least as
+    much at every node: its route has a tighter bound, its gate reads the
+    same residual graph, and its sweep admits fewer lengths. So a windowed
     search makes no more DFS nodes than the same min_len with no max_len."""
     for g, windows in window_cases(corpus_le7):
         for lo, hi in windows:
@@ -756,6 +776,21 @@ def test_node_counts_identical_across_kernels(fastcore, corpus_le7):
         pure = first_hit_count(_pycore, gadget, ell, ell)
         assert first_hit_count(fastcore, gadget, ell, ell) == pure
         assert len(pure[0]) == ell and pure[1] > 0
+
+
+def test_no_max_len_is_max_len_n(kernel, corpus_le7):
+    """A search with no max_len is the one with max_len = n, hole for hole
+    and node for node, under every budget too: on graphs of at most 3
+    vertices both make no node, and with min_len above 4 both prune by
+    min_len."""
+    for g in loop_graphs(corpus_le7):
+        for lo in (4, 5, 6, 8):
+            full = trace(kernel.find_holes, g, lo, None)
+            assert trace(kernel.find_holes, g, lo, g.n) == full
+            for budget in budgets_up_to(full[1]):
+                assert trace(kernel.find_holes, g, lo, None, budget) == trace(
+                    kernel.find_holes, g, lo, g.n, budget
+                )
 
 
 def test_enumerate_holes_charges_kernel_nodes(kernel, monkeypatch):
