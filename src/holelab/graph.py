@@ -191,11 +191,7 @@ class Graph:
         return all((self._adj[v] & ms) == ms & ~(1 << v) for v in bits(ms))
 
     def closed_neighborhood(self, s: Iterable[int]) -> frozenset[int]:
-        ms = mask_of(self.check_set(s))
-        out = ms
-        for v in bits(ms):
-            out |= self._adj[v]
-        return set_of(out)
+        return set_of(closed_mask(self._adj, self.check_set(s)))
 
 
 # -- bitmask helpers ------------------------------------------------------
@@ -235,6 +231,14 @@ def reach(adj: Sequence[int], sources: int, within: int) -> int:
     out = 0
     for level in bfs_levels(adj, sources, within):
         out |= level
+    return out
+
+
+def closed_mask(adj: Sequence[int], vertices: Iterable[int]) -> int:
+    """The vertices in vertices or next to one of them, as a mask."""
+    out = 0
+    for v in vertices:
+        out |= adj[v] | (1 << v)
     return out
 
 

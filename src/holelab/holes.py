@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, ChordError, InputError
-from .graph import Graph, mask_of
+from .graph import Graph, closed_mask, mask_of, set_of
 from .kernels import find_holes
 
 Hole = tuple[int, ...]  # a hole's vertices in canonical order
@@ -117,13 +117,8 @@ def is_d_peripheral(
     from .invariants import _chromatic_exceeds
 
     validate_hole(g, h)
-    exterior = _exterior(g, h)
-    return _chromatic_exceeds(g, exterior, d, budget), exterior
-
-
-def _exterior(g: Graph, h: Hole) -> frozenset[int]:
-    """The vertices outside h with no neighbor on it."""
-    return frozenset(g.vertices()) - g.closed_neighborhood(h)
+    exterior = g.full_mask() & ~closed_mask(g.adjacency_masks(), h)
+    return _chromatic_exceeds(g, exterior, d, budget), set_of(exterior)
 
 
 def residue_coverage(
@@ -149,14 +144,16 @@ def residue_coverage(
         # colouring is loaded only where a hole's exterior is tested
         from .invariants import _chromatic_exceeds
     budget = ensure_budget(budget)
+    adj, full = g.adjacency_masks(), g.full_mask()
     witnesses: dict[int, Hole] = {}
-    peripheral: dict[frozenset[int], bool] = {}  # exterior -> chi > d
+    peripheral: dict[int, bool] = {}  # exterior mask -> chi > d
     for hole in enumerate_holes(g, min_len, max_len, budget):
         r = len(hole) % ell
         if r in witnesses:
             continue
         if d is not None:
-            exterior = _exterior(g, hole)
+            # the vertices outside the hole with no neighbor on it
+            exterior = full & ~closed_mask(adj, hole)
             if exterior not in peripheral:
                 peripheral[exterior] = _chromatic_exceeds(g, exterior, d, budget)
             if not peripheral[exterior]:
@@ -186,13 +183,7 @@ def anticomplete_hole_family(
         return []
     budget = ensure_budget(budget)
     holes = sorted(enumerate_holes(g, budget=budget), key=lambda h: (len(h), h))
-    adj = g.adjacency_masks()
-    closed = []
-    for h in holes:
-        m = mask_of(h)
-        for v in h:
-            m |= adj[v]
-        closed.append(m)
+    closed = [closed_mask(g.adjacency_masks(), h) for h in holes]
     by_spec: list[list[int]] = [
         [i for i, h in enumerate(holes) if len(h) % q == p % q]
         for p, q in specs

@@ -45,14 +45,14 @@ Every answer is exact, and no face is listed unless a rank needs it.
 
 k-balance reads S_even - S_odd = I(S; -1) for every vertex subset S from
 one table filled by the deletion recurrence, charged 2^n nodes before it is
-built.
+built; the walk for a witness charges each subset size before it scans it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Callable, Iterable
 
 from .budget import Budget, ensure_budget
@@ -400,8 +400,9 @@ def is_k_balanced(g: Graph, k: int, budget: Budget | None = None) -> BalanceVerd
     is allocated. One table then holds S_even - S_odd = I(S; -1) for every
     subset S (see `_signed_counts`) and, if any entry exceeds k, subsets
     are scanned by size, lexicographically within a size, until the first
-    violation. The table is integer arithmetic on exact counts, so the
-    verdict is exact.
+    violation, each size charged its number of subsets before its scan.
+    The table is integer arithmetic on exact counts, so the verdict is
+    exact.
     """
     if k < 0:
         raise InputError("balance threshold must be nonnegative")
@@ -411,6 +412,7 @@ def is_k_balanced(g: Graph, k: int, budget: Budget | None = None) -> BalanceVerd
     if max(map(abs, signed)) <= k:
         return BalanceVerdict(k, True, None)
     for size in range(g.n + 1):
+        budget.tick(comb(g.n, size))
         for subset in combinations(range(g.n), size):
             diff = abs(signed[mask_of(subset)])
             if diff > k:

@@ -8,9 +8,11 @@ vertex index so witnesses are reproducible.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError, budget_message
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 
 
 def clique_number(g: Graph, budget: Budget | None = None) -> tuple[int, frozenset[int]]:
@@ -19,8 +21,13 @@ def clique_number(g: Graph, budget: Budget | None = None) -> tuple[int, frozense
     Tomita-style branch and bound: pivot on the candidate vertex covering the
     most candidates, color-free bound |R| + |P|.
     """
-    budget = ensure_budget(budget)
-    adj = g.adjacency_masks()
+    return _clique(g.adjacency_masks(), g.full_mask(), ensure_budget(budget))
+
+
+def _clique(
+    adj: Sequence[int], live: int, budget: Budget
+) -> tuple[int, frozenset[int]]:
+    """clique_number of the subgraph induced on the vertex mask live."""
     best_size = 0
     best_mask = 0
 
@@ -49,25 +56,29 @@ def clique_number(g: Graph, budget: Budget | None = None) -> tuple[int, frozense
                 return
 
     try:
-        expand(0, 0, g.full_mask())
+        expand(0, 0, live)
     except (BudgetExceededError, RecursionError) as exc:  # one frame per clique vertex
         raise BudgetExceededError(
             budget_message("clique search", exc),
             lower=best_size,
-            upper=g.n,
+            upper=live.bit_count(),
             partial=frozenset(bits(best_mask)),
         ) from exc
     return best_size, frozenset(bits(best_mask))
 
 
-def _greedy_coloring(g: Graph) -> list[int]:
+# The colouring searches below take the host's adjacency masks and a vertex
+# mask live, and colour the subgraph induced on live. Their colourings are
+# host-indexed, with -1 outside live.
+
+
+def _greedy_coloring(adj: Sequence[int], live: int) -> list[int]:
     """Greedy coloring in descending-degree order; upper bound seed."""
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    adj = g.adjacency_masks()
-    colors = [-1] * g.n
+    order = sorted(bits(live), key=lambda v: (-(adj[v] & live).bit_count(), v))
+    colors = [-1] * len(adj)
     for v in order:
         used = 0
-        for w in bits(adj[v]):
+        for w in bits(adj[v] & live):
             if colors[w] >= 0:
                 used |= 1 << colors[w]
         c = 0
@@ -78,37 +89,33 @@ def _greedy_coloring(g: Graph) -> list[int]:
 
 
 def _k_colorable(
-    g: Graph, k: int, clique: frozenset[int], budget: Budget
+    adj: Sequence[int], live: int, k: int, clique: frozenset[int], budget: Budget
 ) -> list[int] | None:
     """Exact k-colorability by DSATUR-ordered backtracking.
 
     A maximum clique is pre-colored to break color symmetry. Returns a proper
     coloring with colors 0..k-1, or None.
     """
-    n = g.n
-    adj = g.adjacency_masks()
-    colors = [-1] * n
-    forbidden = [0] * n  # bitmask of colors blocked by colored neighbors
+    colors = [-1] * len(adj)
+    forbidden = [0] * len(adj)  # bitmask of colors blocked by colored neighbors
     full_k = (1 << k) - 1
     seed = sorted(clique)
     if len(seed) > k:
         return None
     for c, v in enumerate(seed):
         colors[v] = c
-        for w in bits(adj[v]):
+        for w in bits(adj[v] & live):
             forbidden[w] |= 1 << c
+    # each live vertex with its degree in live, negated, built once
+    degrees = [(v, -(adj[v] & live).bit_count()) for v in bits(live)]
 
     def pick() -> int:
         # highest saturation, then highest degree, then lowest index
         best, key = -1, None
-        for v in range(n):
+        for v, neg_degree in degrees:
             if colors[v] >= 0:
                 continue
-            cand = (
-                -(forbidden[v] & full_k).bit_count(),
-                -adj[v].bit_count(),
-                v,
-            )
+            cand = (-(forbidden[v] & full_k).bit_count(), neg_degree, v)
             if key is None or cand < key:
                 best, key = v, cand
         return best
@@ -117,7 +124,7 @@ def _k_colorable(
         colors[v] = c
         touched = []
         bit = 1 << c
-        for w in bits(adj[v]):
+        for w in bits(adj[v] & live):
             if colors[w] < 0 and not forbidden[w] & bit:
                 forbidden[w] |= bit
                 touched.append(w)
@@ -146,15 +153,20 @@ def _k_colorable(
             unassign(v, c, touched)
         return False
 
-    if solve(n - len(seed), len(seed) - 1):
+    if solve(len(degrees) - len(seed), len(seed) - 1):
         return colors
     return None
 
 
 def _deepen(
-    g: Graph, lower: int, greedy: list[int], clique: frozenset[int], budget: Budget
+    adj: Sequence[int],
+    live: int,
+    lower: int,
+    greedy: list[int],
+    clique: frozenset[int],
+    budget: Budget,
 ) -> tuple[int, tuple[int, ...]]:
-    """The least k in [lower, greedy bound] for which g is k-colorable.
+    """The least k in [lower, greedy bound] for which G[live] is k-colorable.
 
     The greedy coloring is the witness when no k below its bound works. On
     budget exhaustion raises with the bracketing bounds proven so far.
@@ -162,7 +174,7 @@ def _deepen(
     upper = max(greedy) + 1
     try:
         for k in range(lower, upper):
-            coloring = _k_colorable(g, k, clique, budget)
+            coloring = _k_colorable(adj, live, k, clique, budget)
             if coloring is not None:
                 return k, tuple(coloring)
             lower = k + 1
@@ -184,7 +196,8 @@ def _chromatic_with_clique(
         return 0, ()
     if g.edge_count == 0:
         return 1, (0,) * g.n
-    return _deepen(g, len(clique), _greedy_coloring(g), clique, budget)
+    adj, live = g.adjacency_masks(), g.full_mask()
+    return _deepen(adj, live, len(clique), _greedy_coloring(adj, live), clique, budget)
 
 
 def chromatic_number(
@@ -201,31 +214,30 @@ def chromatic_number(
     return _chromatic_with_clique(g, clique, budget)
 
 
-def _chromatic_above(g: Graph, floor: int, budget: Budget) -> int:
-    """max(chi(g), floor), settled the cheapest way that works.
+def _chromatic_above(adj: Sequence[int], live: int, floor: int, budget: Budget) -> int:
+    """max(chi(G[live]), floor), settled the cheapest way that works.
 
     In order: at most floor vertices, or a greedy coloring with at most
     floor colors, settle it with no search; otherwise one floor-colorability
     test (when the clique number is at most floor) either settles it or
-    starts the deepening above floor. A caller asking "is chi > t?" reads
-    _chromatic_above(g, t, budget) > t. On budget exhaustion the bounds
-    bracket max(chi(g), floor).
+    starts the deepening above floor. A caller asking "is chi(G[live]) > t?"
+    reads _chromatic_above(adj, live, t, budget) > t. On budget exhaustion
+    the bounds bracket max(chi(G[live]), floor).
     """
-    if g.n <= floor:
+    if live.bit_count() <= floor:
         return floor
-    greedy = _greedy_coloring(g)
+    greedy = _greedy_coloring(adj, live)
     if max(greedy) < floor:
         return floor
-    omega, clique = clique_number(g, budget)
-    return _deepen(g, max(omega, floor), greedy, clique, budget)[0]
+    omega, clique = _clique(adj, live, budget)
+    return _deepen(adj, live, max(omega, floor), greedy, clique, budget)[0]
 
 
 def _chromatic_exceeds(
-    g: Graph, vertices: frozenset[int], t: int, budget: Budget | None = None
+    g: Graph, live: int, t: int, budget: Budget | None = None
 ) -> bool:
-    """Is chi(G[vertices]) > t?"""
-    sub, _ = g.induced_subgraph(vertices)
-    return _chromatic_above(sub, t, ensure_budget(budget)) > t
+    """Is chi(G[live]) > t, for a vertex mask live of g?"""
+    return _chromatic_above(g.adjacency_masks(), live, t, ensure_budget(budget)) > t
 
 
 def chi_rho(
@@ -242,18 +254,18 @@ def chi_rho(
     if rho < 1:
         raise InputError("radius must be at least 1")
     budget = ensure_budget(budget)
+    adj = g.adjacency_masks()
     best = 0
-    seen: set[frozenset[int]] = set()
+    seen: set[int] = set()
     try:
         for v in g.vertices():
             if best == chi:
                 break
-            ball = g.ball(v, rho, closed=True)
+            ball = mask_of(g.ball(v, rho, closed=True))
             if ball in seen:
                 continue
             seen.add(ball)
-            sub, _ = g.induced_subgraph(ball)
-            best = _chromatic_above(sub, best, budget)
+            best = _chromatic_above(adj, ball, best, budget)
     except BudgetExceededError as exc:
         if chi is None:
             chi = 1 + max(g.degree(v) for v in g.vertices())

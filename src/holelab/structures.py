@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceededError, InputError, RefinementError, budget_message
-from .graph import Graph, bfs_levels, bits, mask_of, reach, set_of
+from .graph import Graph, bfs_levels, bits, closed_mask, mask_of, reach, set_of
 from .holes import Hole, canonical_hole, sequence_defect, validate_hole
-from .invariants import _chromatic_exceeds, clique_number
+from .invariants import _chromatic_exceeds, _clique
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,10 @@ def verify_multicover(
                 failures.append(f"family of apex {x} is not stable")
     if crest is not None:
         failures.extend(_crest_failures(mc, crest))
-    sub, _ = g.induced_subgraph(mc.family_union())
     try:
-        ccn, _ = clique_number(sub, budget)
+        ccn, _ = _clique(
+            g.adjacency_masks(), mask_of(mc.family_union()), ensure_budget(budget)
+        )
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             str(exc),
@@ -377,10 +378,10 @@ def refine_multicover(
         n_x = mc.families[x]
 
         def c_side(s: frozenset[int]) -> bool:
-            return _chromatic_exceeds(g, f(s) & cur_c, c_i, node_budget)
+            return _chromatic_exceeds(g, mask_of(f(s) & cur_c), c_i, node_budget)
 
         def d_side(s: frozenset[int]) -> bool:
-            return _chromatic_exceeds(g, f(s) & cur_d, c_i, node_budget)
+            return _chromatic_exceeds(g, mask_of(f(s) & cur_d), c_i, node_budget)
 
         if c_side(n_x):
             a = minimal(n_x, c_side)
@@ -641,9 +642,15 @@ def enumerate_jets(
     if ell is not None:
         if ell < 2:
             raise InputError("jetset modulus must be at least 2")
+        adj, floor_mask = g.adjacency_masks(), mask_of(floor)
         lengths = set()
         for j in jets:
-            if d is None or _jet_is_peripheral(g, j, floor, d, budget):
+            # any floor subset anticomplete to the jet lies in floor - N[jet],
+            # and chi is monotone under induced subgraphs, so testing that
+            # maximal set is exact
+            if d is None or _chromatic_exceeds(
+                g, floor_mask & ~closed_mask(adj, j), d, budget
+            ):
                 lengths.add(len(j) - 1)
         residues = frozenset(l % ell for l in lengths)
         summary = JetSummary(
@@ -653,19 +660,6 @@ def enumerate_jets(
             completeness=_longest_cyclic_run(residues, ell),
         )
     return jets, summary
-
-
-def _jet_is_peripheral(
-    g: Graph, jet: tuple[int, ...], floor: frozenset[int], d: int, budget: Budget
-) -> bool:
-    """d-peripherality via the maximal candidate exterior.
-
-    Any floor subset anticomplete to the jet is contained in
-    floor minus N[jet], so checking that maximal set is exact (chromatic
-    number is monotone under induced subgraphs).
-    """
-    x = floor - g.closed_neighborhood(jet)
-    return _chromatic_exceeds(g, x, d, budget)
 
 
 def _longest_cyclic_run(residues: frozenset[int], ell: int) -> int:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holelab.holes as holes_module
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, ChordError, InputError
 from holelab.graph import Graph
@@ -19,6 +20,7 @@ from holelab.holes import (
     sequence_defect,
     validate_hole,
 )
+from holelab.kernels import _pycore
 
 from conftest import cycle_graph, oracle_holes, petersen_graph, random_graph
 
@@ -144,6 +146,28 @@ def test_residue_coverage_with_d_matches_uncached_scan():
             assert residue_coverage(g, ell, d=d) == want
             found += len(want)
     assert found
+
+
+# residue_coverage(Myc4, 3, d) and the nodes it takes, hole search and
+# colouring together: Myc4 (chi = 6, triangle-free) has a 2-peripheral hole
+# only of length 2 mod 3 and no 3-peripheral hole
+MYC4_COVERAGE = [
+    (1, {1: (0, 1, 2, 6), 2: (0, 1, 2, 4, 3), 0: (0, 1, 2, 9, 10, 8)}, 20),
+    (2, {2: (0, 1, 2, 4, 3)}, 33_714),
+    (3, {}, 33_703),
+]
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_residue_coverage_on_myc4_is_pinned(kernel, request, monkeypatch):
+    impl = _pycore if kernel == "pure" else request.getfixturevalue("fastcore")
+    monkeypatch.setattr(holes_module, "find_holes", impl.find_holes)
+    g = standard_family("mycielski_iterate", 4)
+    for d, want, nodes in MYC4_COVERAGE:
+        budget = Budget()
+        got = residue_coverage(g, 3, d=d, budget=budget)
+        assert list(got.items()) == list(want.items()), d
+        assert budget.used == nodes, d
 
 
 def test_residue_coverage():

@@ -313,6 +313,20 @@ def test_exhaustive_balance_charges_its_table_first(monkeypatch):
     assert budget.used == 1 << 8
 
 
+def test_balance_witness_walk_is_charged():
+    """After its 2^n table, the walk for a witness charges each subset size
+    before it scans it. C21 breaks 1-balance only on all 21 vertices, so the
+    walk scans every size: 2^21 nodes more than the table, and a budget 10
+    nodes past the table runs out at size 1."""
+    g = Graph(21, cycle_graph(21))
+    with pytest.raises(BudgetExceededError):
+        is_k_balanced(g, 1, budget=Budget((1 << 21) + 10))
+    budget = Budget()
+    verdict = is_k_balanced(g, 1, budget=budget)
+    assert verdict.violation == frozenset(range(21)) and verdict.imbalance == 2
+    assert budget.used == 1 << 22
+
+
 def test_counting_and_folding_match_listing_on_le7(corpus_le7):
     assert len(corpus_le7) == 1253
     for g in corpus_le7:

@@ -246,6 +246,21 @@ def test_only_gadgets_imports_random():
     assert sorted(set(importers)) == ["gadgets.py"]
 
 
+def test_only_graph_calls_induced_subgraph():
+    """Vertex subsets stay masks of the host graph from the caller to the
+    search: no module but graph.py copies a graph to ask about a subset."""
+    callers = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != PACKAGE / "graph.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "induced_subgraph"
+    ]
+    assert not callers, "induced_subgraph called at:\n" + "\n".join(callers)
+
+
 def public_functions(module) -> set[str]:
     """The public functions a module defines or lists in __all__, and the
     public methods of the public classes it defines."""

@@ -11,9 +11,11 @@ from holelab.budget import Budget
 from holelab.cli import EXIT_BUDGET, EXIT_CLEAN, main
 from holelab.errors import BudgetExceededError, InputError
 from holelab.gadgets import standard_family
-from holelab.graph import Graph, mask_of
+from holelab.graph import Graph, bits, mask_of
 from holelab.invariants import (
     _chromatic_above,
+    _clique,
+    _greedy_coloring,
     _k_colorable,
     chi_rho,
     chromatic_number,
@@ -133,20 +135,97 @@ def test_chi_matches_exhaustive_assignment(g):
     assert chi == oracle_chromatic_number(g)
 
 
+MYC3_COLORING = [0, 1, 0, 1, 2, 0, 1, 0, 1, 3, 2, 0, 1, 0, 1, 2, 0, 1, 0, 1, 4, 2, 3]
+
+
 def test_k_colorable_branching_is_pinned():
     # Myc3 (n = 23, omega = 2, chi = 5): node counts and the witness of the
     # DSATUR search, which invariants prints, must not move
     g = standard_family("mycielski_iterate", 3)
+    adj, live = g.adjacency_masks(), g.full_mask()
     clique = clique_number(g)[1]
     budget = Budget()
-    assert _k_colorable(g, 4, clique, budget) is None
+    assert _k_colorable(adj, live, 4, clique, budget) is None
     assert budget.used == 692
     budget = Budget()
-    coloring = _k_colorable(g, 5, clique, budget)
+    coloring = _k_colorable(adj, live, 5, clique, budget)
     assert budget.used == 21
-    assert coloring == [
-        0, 1, 0, 1, 2, 0, 1, 0, 1, 3, 2, 0, 1, 0, 1, 2, 0, 1, 0, 1, 4, 2, 3
-    ]
+    assert coloring == MYC3_COLORING
+
+
+def test_k_colorable_on_a_mask_is_the_search_on_its_copy():
+    # vertices 0..22 of Myc4 induce Myc3, so the search on that mask of
+    # Myc4 makes the pinned search on Myc3, with -1 on the other vertices
+    g4 = standard_family("mycielski_iterate", 4)
+    live = (1 << 23) - 1
+    assert g4.induced_subgraph(range(23))[0] == standard_family("mycielski_iterate", 3)
+    adj = g4.adjacency_masks()
+    clique = _clique(adj, live, Budget())[1]
+    budget = Budget()
+    assert _k_colorable(adj, live, 4, clique, budget) is None
+    assert budget.used == 692
+    budget = Budget()
+    coloring = _k_colorable(adj, live, 5, clique, budget)
+    assert budget.used == 21
+    assert coloring == MYC3_COLORING + [-1] * (g4.n - 23)
+
+
+def _search_outcome(search, budget):
+    """(value, nodes) of a search, or its budget error's (lower, upper)."""
+    try:
+        return search(budget), budget.used
+    except BudgetExceededError as exc:
+        return "budget", exc.lower, exc.upper
+
+
+def test_searches_on_a_mask_are_the_searches_on_its_copy():
+    """The clique and colouring searches on (adj, mask) give the value,
+    the witness, the nodes and the budget error bounds of the same call on
+    the copy induced_subgraph makes, whose vertices keep their order."""
+    rng = random.Random(25)
+    errors = 0
+    for _ in range(60):
+        n = rng.randrange(1, 19)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        live = rng.getrandbits(n)
+        sub, keep = g.induced_subgraph(bits(live))
+        adj, sub_adj, sub_live = g.adjacency_masks(), sub.adjacency_masks(), sub.full_mask()
+
+        def lift(coloring):
+            """The copy's colouring on g's vertices, -1 off the mask."""
+            if coloring is None:
+                return None
+            out = [-1] * n
+            for i, c in enumerate(coloring):
+                out[keep[i]] = c
+            return out
+
+        assert _greedy_coloring(adj, live) == lift(_greedy_coloring(sub_adj, sub_live))
+        clique, sub_clique = _clique(adj, live, Budget())[1], _clique(sub_adj, sub_live, Budget())[1]
+        for k in range(len(clique), len(clique) + 3):
+            budget, sub_budget = Budget(), Budget()
+            assert _k_colorable(adj, live, k, clique, budget) == lift(
+                _k_colorable(sub_adj, sub_live, k, sub_clique, sub_budget)
+            )
+            assert budget.used == sub_budget.used
+        for limit in (None, 1, 3, 10, 30):
+            for floor in range(4):
+                got = _search_outcome(
+                    lambda b: _chromatic_above(adj, live, floor, b), Budget(limit)
+                )
+                want = _search_outcome(
+                    lambda b: _chromatic_above(sub_adj, sub_live, floor, b), Budget(limit)
+                )
+                assert got == want, (g, live, limit, floor)
+                errors += got[0] == "budget"
+            got = _search_outcome(lambda b: _clique(adj, live, b), Budget(limit))
+            want = _search_outcome(lambda b: _clique(sub_adj, sub_live, b), Budget(limit))
+            if want[0] != "budget":
+                (size, witness), nodes = want
+                want = (size, frozenset(keep[v] for v in witness)), nodes
+            assert got == want, (g, live, limit)
+            errors += got[0] == "budget"
+    assert errors
 
 
 def test_chromatic_above_is_max_of_chi_and_floor():
@@ -156,7 +235,9 @@ def test_chromatic_above_is_max_of_chi_and_floor():
         g = random_graph(rng, n, rng.uniform(0.1, 0.7) if n < 9 else 0.3)
         chi = oracle_chromatic_number(g)
         for t in range(n + 2):
-            assert _chromatic_above(g, t, Budget()) == max(chi, t)
+            assert _chromatic_above(
+                g.adjacency_masks(), g.full_mask(), t, Budget()
+            ) == max(chi, t)
 
 
 def _chi_rho_reference(g, rho):
@@ -178,9 +259,9 @@ def _check_chi_rho(graphs, monkeypatch):
     calls = []
     real = invariants._chromatic_above
 
-    def counted(g, floor, budget):
-        calls.append(g.n)
-        return real(g, floor, budget)
+    def counted(adj, live, floor, budget):
+        calls.append(live.bit_count())
+        return real(adj, live, floor, budget)
 
     monkeypatch.setattr(invariants, "_chromatic_above", counted)
     repeated = stopped = 0
