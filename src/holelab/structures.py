@@ -9,14 +9,15 @@ are deterministic: ties always break toward the lowest vertex index.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceededError, InputError, RefinementError, budget_message
+from .errors import BudgetExceededError, InputError, RefinementError
 from .graph import Graph, bfs_levels, bits, closed_mask, mask_of, reach, set_of
-from .holes import Hole, canonical_hole, sequence_defect, validate_hole
+from .holes import Hole, canonical_hole, enumerate_holes, sequence_defect, validate_hole
 from .invariants import _chromatic_exceeds, _clique
 
 
@@ -577,13 +578,17 @@ def verify_shower(s: Shower) -> tuple[VerificationReport, frozenset[int]]:
     for i in range(1, k):
         if not g.covers(s.layers[i - 1], s.layers[i]):
             failures.append(f"layer {i - 1} does not cover layer {i}")
-    for i in range(k + 1):
+    adj = g.adjacency_masks()
+    masks = [mask_of(layer) for layer in s.layers]
+    for i, layer in enumerate(s.layers):
+        near = 0  # open neighbourhood: a vertex shared by two layers is no edge
+        for v in layer:
+            near |= adj[v]
         for j in range(i + 2, k + 1):
-            mi = mask_of(s.layers[i])
-            if any(g.adjacency_mask(v) & mi for v in s.layers[j]):
+            if near & masks[j]:
                 failures.append(f"edge between layer {i} and layer {j}")
-    last = mask_of(s.layers[-1])
-    if reach(g.adjacency_masks(), last & -last, last) != last:
+    last = masks[-1]
+    if reach(adj, last & -last, last) != last:
         failures.append("last layer does not induce a connected subgraph")
     return VerificationReport(not failures, tuple(failures)), s.floor()
 
@@ -621,6 +626,10 @@ def enumerate_jets(
 ) -> tuple[list[tuple[int, ...]], JetSummary | None]:
     """All induced head-drain paths in the shower's vertex set, up to max_len.
 
+    Jets of two or more edges come from the hole kernel: each is a hole
+    through a new vertex joined to head and drain only, so the budget is
+    charged and its error raised as in enumerate_holes.
+
     With ell set, also summarizes the (d-peripheral, when d is given) jet
     lengths: residues mod ell and the largest t for which the jetset is
     (t, ell)-complete, i.e. contains t consecutive lengths mod ell.
@@ -635,9 +644,7 @@ def enumerate_jets(
     if not report.valid:
         raise InputError(f"invalid shower: {report.failures[0]}")
     allowed = mask_of(s.vertex_set())
-    jets = sorted(
-        _simple_induced_paths(g, s.head, s.drain, allowed, max_len, budget)
-    )
+    jets = sorted(_jets(g, s.head, s.drain, allowed, max_len, budget))
     summary = None
     if ell is not None:
         if ell < 2:
@@ -679,36 +686,23 @@ def _longest_cyclic_run(residues: frozenset[int], ell: int) -> int:
     return best
 
 
-def _simple_induced_paths(
-    g: Graph,
-    source: int,
-    target: int,
-    allowed_mask: int,
-    max_len: int,
-    budget: Budget,
+def _jets(
+    g: Graph, head: int, drain: int, allowed: int, max_len: int, budget: Budget
 ) -> Iterator[tuple[int, ...]]:
-    """Induced source-target paths with at most max_len edges."""
-    if source == target:
+    """Induced head-drain paths inside allowed with at most max_len edges."""
+    if head == drain or max_len < 1:
         return
-    adj = g.adjacency_masks()
-
-    def extend(path: list[int], banned: int) -> Iterator[tuple[int, ...]]:
-        last = path[-1]
-        if len(path) > max_len:
-            return
-        budget.tick()
-        if (adj[last] >> target) & 1 and not (banned >> target) & 1:
-            yield tuple(path) + (target,)
-        for v in bits(adj[last] & allowed_mask & ~banned & ~(1 << target)):
-            new_banned = banned | adj[last] | (1 << v)
-            path.append(v)
-            yield from extend(path, new_banned)
-            path.pop()
-
-    try:
-        yield from extend([source], 1 << source)
-    except RecursionError as exc:  # one frame per path vertex, as on a long path
-        raise BudgetExceededError(budget_message("jet search", exc)) from None
+    if g.has_edge(head, drain):  # the edge is a chord of any longer path
+        yield head, drain
+        return
+    edges = [(0, head + 1), (0, drain + 1)]  # vertex 0 is the new one; g's shift up
+    edges += [(u + 1, v + 1) for u, v in g.edges() if (allowed >> u) & (allowed >> v) & 1]
+    with closing(enumerate_holes(Graph(g.n + 1, edges), 4, max_len + 2, budget)) as holes:
+        for hole in holes:
+            if hole[0]:  # the holes through anchor 0 come first
+                return
+            path = [v - 1 for v in hole[1:]]
+            yield tuple(path if path[0] == head else reversed(path))
 
 
 def _least_shortest_path(

@@ -1,9 +1,9 @@
 """Shared fixtures and oracle helpers for the test suite.
 
 The oracles here are deliberately naive and independent of the library's
-algorithms: subset scans, exhaustive color assignments, and 2^n stable-set
-enumeration. Frozen expected values in the tests were produced by these
-oracles.
+algorithms: subset scans, exhaustive color assignments, 2^n stable-set
+enumeration, and an unpruned recursive path search. Frozen expected values
+in the tests were produced by these oracles.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import shutil
 import subprocess
 import sysconfig
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 import holelab.kernels
-from holelab.graph import Graph
+from holelab.budget import Budget
+from holelab.graph import Graph, bits
 
 DATA_DIR = Path(__file__).parent / "data"
 CORPUS_LE7 = DATA_DIR / "graphs_le7.g6"
@@ -85,6 +87,36 @@ def oracle_holes(g: Graph, min_len: int = 4, max_len: int | None = None) -> set[
                 if induced.is_connected():
                     out.add(frozenset(sub))
     return out
+
+
+def oracle_induced_paths(
+    g: Graph,
+    source: int,
+    target: int,
+    allowed_mask: int,
+    max_len: int,
+    budget: Budget,
+) -> Iterator[tuple[int, ...]]:
+    """Induced source-target paths with at most max_len edges, by a
+    recursive DFS with no prune: one frame per path vertex."""
+    if source == target:
+        return
+    adj = g.adjacency_masks()
+
+    def extend(path: list[int], banned: int) -> Iterator[tuple[int, ...]]:
+        last = path[-1]
+        if len(path) > max_len:
+            return
+        budget.tick()
+        if (adj[last] >> target) & 1 and not (banned >> target) & 1:
+            yield tuple(path) + (target,)
+        for v in bits(adj[last] & allowed_mask & ~banned & ~(1 << target)):
+            new_banned = banned | adj[last] | (1 << v)
+            path.append(v)
+            yield from extend(path, new_banned)
+            path.pop()
+
+    yield from extend([source], 1 << source)
 
 
 def oracle_clique_number(g: Graph) -> int:

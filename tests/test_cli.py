@@ -174,11 +174,6 @@ DEEP = [
     pytest.param(crown_and_path, "invariants {c}", id="coloring"),
     # the C5's exterior is the rest: d-peripherality needs its colouring
     pytest.param(lambda: crown_and_path(5), "holes {c} --ell 3 --d 1", id="peripheral"),
-    pytest.param(
-        lambda: Graph(1500, [(v, v + 1) for v in range(1499)]),
-        "shower {c} --root 0 --depth 1400 --drain 1400 --jets 1500",
-        id="jets",
-    ),
 ]
 
 
@@ -191,6 +186,16 @@ def test_recursion_deeper_than_allowed_exits_3(corpus, tmp_path, capsys, make_gr
     payload = json.loads(out.read_text())
     row = payload[0] if isinstance(payload, list) else payload
     assert row["budget_error"].endswith("recurses deeper than the interpreter allows")
+
+
+def test_jet_along_a_long_path_is_found(corpus, tmp_path):
+    """Jets come from the iterative hole kernel, which takes no Python frame
+    per path vertex: on a path of 1,500 vertices the one jet is found."""
+    out = tmp_path / "jets.json"
+    path = corpus(Graph(1500, [(v, v + 1) for v in range(1499)]))
+    argv = ["--json-out", str(out), "shower", path, "--root", "0", "--depth", "1400"]
+    assert main(argv + ["--drain", "1400", "--jets", "1500"]) == EXIT_CLEAN
+    assert json.loads(out.read_text())["jets"] == [list(range(1401))]
 
 
 def test_stdout_and_json_out_write_the_same_bytes(corpus, tmp_path, capsys):

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+import holelab.holes as holes_module
 from holelab import structures
 from holelab.budget import Budget
 from holelab.errors import BudgetExceededError, ChordError, InputError, RefinementError
-from holelab.gadgets import crest_gadget, multicover_gadget
+from holelab.gadgets import crest_gadget, multicover_gadget, standard_family
 from holelab.graph import Graph, mask_of
 from holelab.holes import validate_hole
 from holelab.invariants import _chromatic_exceeds
+from holelab.kernels import _pycore
 from holelab.structures import (
     Grading,
     Multicover,
@@ -30,10 +32,9 @@ from holelab.structures import (
     verify_multicover,
     verify_oddity,
     verify_shower,
-    _simple_induced_paths,
 )
 
-from conftest import cycle_graph, oracle_chromatic_number, random_graph
+from conftest import cycle_graph, oracle_chromatic_number, oracle_induced_paths, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +566,46 @@ def test_verify_shower_failures():
     assert any("edge between layer" in f for f in report.failures)
 
 
+def test_verify_shower_names_far_layer_edges_only():
+    """Vertex 6 lies in layers 1 and 3 but has no neighbour in layer 3; the
+    edges 0-6 and 1-4 join layers 0 and 3, and 1 and 4."""
+    g = Graph(7, [(0, 1), (0, 6), (1, 2), (2, 6), (2, 3), (3, 4), (1, 4)])
+    layers = ({0}, {1, 6}, {2}, {3, 6}, {4})
+    report, _ = verify_shower(Shower(g, tuple(map(frozenset, layers)), 4))
+    assert report.failures == (
+        "layers are not pairwise disjoint",
+        "edge between layer 0 and layer 3",
+        "edge between layer 1 and layer 4",
+    )
+
+
+def test_far_layer_check_is_the_per_pair_scan():
+    """On random layerings, overlapping ones included, verify_shower names
+    the far-layer pairs that a scan of each pair's vertices finds, in order,
+    and a disconnected last layer."""
+    rng = random.Random(17)
+    named = overlapping = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(3, 14), rng.uniform(0.1, 0.5))
+        layers = tuple(
+            frozenset(v for v in g.vertices() if rng.random() < 0.3) | {rng.randrange(g.n)}
+            for _ in range(rng.randint(1, 6))
+        )
+        want = [
+            f"edge between layer {i} and layer {j}"
+            for i in range(len(layers))
+            for j in range(i + 2, len(layers))
+            if any(g.adjacency_mask(v) & mask_of(layers[i]) for v in layers[j])
+        ]
+        report, _ = verify_shower(Shower(g, layers, min(layers[-1])))
+        assert [f for f in report.failures if f.startswith("edge between")] == want
+        connected = g.induced_subgraph(layers[-1])[0].is_connected()
+        assert connected != ("last layer does not induce a connected subgraph" in report.failures)
+        named += bool(want)
+        overlapping += "layers are not pairwise disjoint" in report.failures
+    assert named > 50 and overlapping > 50
+
+
 def test_enumerate_jets_on_cycle_shower():
     g = Graph(6, cycle_graph(6))
     s = shower_from_bfs(g, 0, 3, 3)
@@ -610,6 +651,68 @@ def test_jets_with_d_keep_the_peripheral_lengths():
                 assert summary.residues == {t % 3 for t in want}
                 outcomes.add((bool(want), want == {len(j) - 1 for j in jets}))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def random_shower_jets(find_holes, monkeypatch):
+    """(shower, max_len, jets, budget.used) for seeded random BFS showers,
+    n = 4..20, depth 0..4 and every drain, under the given hole kernel."""
+    monkeypatch.setattr(holes_module, "find_holes", find_holes)
+    rng = random.Random(26)
+    runs = []
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(4, 20), rng.uniform(0.1, 0.4))
+        root = rng.randrange(g.n)
+        for depth in range(5):
+            for drain in g.vertices():
+                s = shower_from_bfs(g, root, depth, drain)
+                for max_len in (0, 1, 2, 5, 40) if s else ():
+                    budget = Budget()
+                    jets, _ = enumerate_jets(s, max_len, budget=budget)
+                    runs.append((s, max_len, jets, budget.used))
+    return runs
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_jets_are_the_recursive_path_search(kernel, request, monkeypatch):
+    """Jets read off the hole kernel are the sorted induced paths of the
+    unpruned recursive oracle; the compiled kernel gives the pure kernel's
+    jets and charges the same nodes."""
+    runs = random_shower_jets(_pycore.find_holes, monkeypatch)
+    lengths = set()
+    for s, max_len, jets, _ in runs:
+        allowed = mask_of(s.vertex_set())
+        assert jets == sorted(
+            oracle_induced_paths(s.host, s.head, s.drain, allowed, max_len, Budget(None))
+        )
+        lengths |= {len(j) - 1 for j in jets}
+    assert set(range(1, 7)) <= lengths
+    if kernel == "compiled":
+        compiled = random_shower_jets(request.getfixturevalue("fastcore").find_holes, monkeypatch)
+        assert [run[2:] for run in compiled] == [run[2:] for run in runs]
+
+
+# enumerate_jets on Myc4's depth-2 BFS showers drained at 46, jets of at
+# most 14 edges: root, number of jets, budget.used, and budget.used with
+# ell = 3 and d = 2
+MYC4_JETS = [(0, 548, 1_092, 1_304), (7, 542, 1_082, 1_250), (14, 522, 1_043, 1_185)]
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_jets_on_myc4_showers_are_pinned(kernel, request, monkeypatch):
+    impl = _pycore if kernel == "pure" else request.getfixturevalue("fastcore")
+    monkeypatch.setattr(holes_module, "find_holes", impl.find_holes)
+    g = standard_family("mycielski_iterate", 4)
+    for root, count, nodes, nodes_d in MYC4_JETS:
+        s = shower_from_bfs(g, root, 2, 46)
+        budget = Budget()
+        jets, _ = enumerate_jets(s, 14, budget=budget)
+        assert (len(jets), budget.used) == (count, nodes), root
+        budget = Budget()
+        got, summary = enumerate_jets(s, 14, ell=3, d=2, budget=budget)
+        assert (got, budget.used) == (jets, nodes_d), root
+        assert (summary.lengths, summary.residues, summary.completeness) == ({2, 3}, {0, 2}, 2)
+        if root == 0:
+            assert (jets[0], jets[-1]) == ((0, 1, 2, 9, 21, 45, 46), (0, 42, 46))
 
 
 def test_jet_summary_completeness_run():
@@ -719,7 +822,7 @@ def oracle_find_recirculator(g, s, max_len):
     ]
     allowed = mask_of(admissible) | ends_mask
     paths = sorted(
-        _simple_induced_paths(g, s.drain, s.head, allowed, max_len, Budget(None)),
+        oracle_induced_paths(g, s.drain, s.head, allowed, max_len, Budget(None)),
         key=lambda p: (len(p), p),
     )
     return paths[0] if paths else None
