@@ -218,31 +218,30 @@ def _entry_graph(args) -> Graph:
 
 def _cmd_shower(args) -> int:
     _needs(args, "jets", "ell", "d")
-    from .structures import Shower, enumerate_jets, shower_from_bfs, verify_shower
+    from .structures import _check_jet_arguments, _verified_jets, shower_from_bfs
 
     if args.jets is not None:
-        # on a one-vertex shower first: a jet argument the library rejects
-        # is an input error whether or not the corpus gives a shower
-        one = Shower(Graph(1), (frozenset({0}),), 0)
-        enumerate_jets(one, args.jets, ell=args.ell, d=args.d, budget=Budget(None))
+        # a jet argument the library rejects is an input error whether or
+        # not the corpus gives a shower
+        _check_jet_arguments(args.jets, args.ell, args.d)
     g = _entry_graph(args)
     shower = shower_from_bfs(g, args.root, args.depth, args.drain)
     if shower is None:
         write_json({"shower": None}, args.json_out)
         return EXIT_CLEAN
-    report, floor = verify_shower(shower)
+    floor = shower.floor()
     row: dict[str, Any] = {
         "layers": [sorted(layer) for layer in shower.layers],
         "drain": shower.drain,
         "head": shower.head,
         "floor": sorted(floor),
-        "valid": report.valid,
+        "valid": True,  # shower_from_bfs returns verified showers only
     }
     if args.jets is not None:
         budget = Budget(args.budget_nodes)
         try:
-            jets, summary = enumerate_jets(
-                shower, args.jets, ell=args.ell, d=args.d, budget=budget
+            jets, summary = _verified_jets(
+                shower, floor, args.jets, args.ell, args.d, budget
             )
             row["jets"] = [list(j) for j in jets]
             if summary is not None:

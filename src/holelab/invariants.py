@@ -73,17 +73,23 @@ def _clique(
 
 
 def _greedy_coloring(adj: Sequence[int], live: int) -> list[int]:
-    """Greedy coloring in descending-degree order; upper bound seed."""
+    """Greedy coloring in descending-degree order; upper bound seed.
+
+    Each vertex takes the first colour class (a vertex mask) that holds none
+    of its neighbours.
+    """
     order = sorted(bits(live), key=lambda v: (-(adj[v] & live).bit_count(), v))
     colors = [-1] * len(adj)
+    classes: list[int] = []
     for v in order:
-        used = 0
-        for w in bits(adj[v] & live):
-            if colors[w] >= 0:
-                used |= 1 << colors[w]
-        c = 0
-        while (used >> c) & 1:
-            c += 1
+        near = adj[v]
+        for c, cls in enumerate(classes):
+            if not cls & near:
+                classes[c] = cls | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
         colors[v] = c
     return colors
 
@@ -91,69 +97,81 @@ def _greedy_coloring(adj: Sequence[int], live: int) -> list[int]:
 def _k_colorable(
     adj: Sequence[int], live: int, k: int, clique: frozenset[int], budget: Budget
 ) -> list[int] | None:
-    """Exact k-colorability by DSATUR-ordered backtracking.
+    """Exact k-colorability by DSATUR-ordered backtracking on bitsets.
 
-    A maximum clique is pre-colored to break color symmetry. Returns a proper
-    coloring with colors 0..k-1, or None.
+    A maximum clique is pre-colored to break color symmetry. blocked[c] holds
+    the vertices with a neighbour of colour c, and buckets[s] the uncoloured
+    live vertices with s colours blocked, so the next vertex (highest
+    saturation, then highest degree in live, then lowest index) and the
+    saturation updates cost O(k) mask operations, not a scan of the
+    vertices. Returns a proper coloring with colors 0..k-1, or None.
     """
     colors = [-1] * len(adj)
-    forbidden = [0] * len(adj)  # bitmask of colors blocked by colored neighbors
-    full_k = (1 << k) - 1
     seed = sorted(clique)
     if len(seed) > k:
         return None
+    blocked = [0] * k
     for c, v in enumerate(seed):
         colors[v] = c
-        for w in bits(adj[v] & live):
-            forbidden[w] |= 1 << c
-    # each live vertex with its degree in live, negated, built once
-    degrees = [(v, -(adj[v] & live).bit_count()) for v in bits(live)]
+        blocked[c] = adj[v]
+    seeded = mask_of(seed)
+    uncoloured = live & ~seeded
+    buckets = [0] * (k + 1)
+    # the live vertices of each degree in live, highest degree first
+    by_degree: dict[int, int] = {}
+    for v in bits(live):
+        d = (adj[v] & live).bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+        if (uncoloured >> v) & 1:  # the seed's colours are distinct
+            buckets[(adj[v] & seeded).bit_count()] |= 1 << v
+    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
 
-    def pick() -> int:
-        # highest saturation, then highest degree, then lowest index
-        best, key = -1, None
-        for v, neg_degree in degrees:
-            if colors[v] >= 0:
-                continue
-            cand = (-(forbidden[v] & full_k).bit_count(), neg_degree, v)
-            if key is None or cand < key:
-                best, key = v, cand
-        return best
-
-    def assign(v: int, c: int) -> list[int]:
-        colors[v] = c
-        touched = []
-        bit = 1 << c
-        for w in bits(adj[v] & live):
-            if colors[w] < 0 and not forbidden[w] & bit:
-                forbidden[w] |= bit
-                touched.append(w)
-        return touched
-
-    def unassign(v: int, c: int, touched: list[int]) -> None:
-        colors[v] = -1
-        bit = 1 << c
-        for w in touched:
-            forbidden[w] &= ~bit
-
-    def solve(remaining: int, used_max: int) -> bool:
+    def solve(uncoloured: int, used_max: int) -> bool:
         # used_max: the highest color in use; new-color symmetry allows at
         # most one color above it
-        if remaining == 0:
+        if not uncoloured:
             return True
         budget.tick()
-        v = pick()
-        avail = full_k & ~forbidden[v]
-        for c in bits(avail):
-            if c > used_max + 1:
+        s = k
+        while not buckets[s]:
+            s -= 1
+        top = buckets[s]
+        for cls in degree_classes:
+            if cls & top:
                 break
-            touched = assign(v, c)
-            if solve(remaining - 1, max(used_max, c)):
+        bit = cls & top
+        bit &= -bit
+        v = bit.bit_length() - 1
+        buckets[s] ^= bit
+        saved = buckets[:]
+        uncoloured ^= bit
+        near = adj[v] & uncoloured
+        for c in range(min(k, used_max + 2)):
+            block = blocked[c]
+            if block & bit:
+                continue
+            # up one bucket each; v has a free colour, so s < k, and no
+            # uncoloured vertex is above bucket s
+            moved = near & ~block
+            t = s
+            while moved:
+                up = buckets[t] & moved
+                if up:
+                    buckets[t] ^= up
+                    buckets[t + 1] |= up
+                    moved ^= up
+                t -= 1
+            blocked[c] = block | near
+            colors[v] = c
+            if solve(uncoloured, max(used_max, c)):
                 return True
-            unassign(v, c, touched)
+            blocked[c] = block
+            buckets[:] = saved
+        colors[v] = -1
+        buckets[s] |= bit
         return False
 
-    if solve(len(degrees) - len(seed), len(seed) - 1):
+    if solve(uncoloured, len(seed) - 1):
         return colors
     return None
 
@@ -245,16 +263,17 @@ def chi_rho(
 ) -> int:
     """Maximum chromatic number over all closed rho-balls; 0 for the null graph.
 
-    Each distinct ball is asked only whether it beats the best value so far,
-    and the scan stops once that value reaches chi, the chromatic number of
-    g, when the caller passes it. On budget exhaustion the bounds bracket
-    chi_rho itself: lower is the best value proven so far, upper is chi when
-    given, else the maximum degree plus one.
+    Each distinct ball is asked only whether it beats the best value so far.
+    When the caller passes chi, the chromatic number of g, the scan stops
+    once that value reaches chi, or at a ball that is all of g, whose value
+    is chi with no search. On budget exhaustion the bounds bracket chi_rho
+    itself: lower is the best value proven so far, upper is chi when given,
+    else the maximum degree plus one.
     """
     if rho < 1:
         raise InputError("radius must be at least 1")
     budget = ensure_budget(budget)
-    adj = g.adjacency_masks()
+    adj, full = g.adjacency_masks(), g.full_mask()
     best = 0
     seen: set[int] = set()
     try:
@@ -264,6 +283,8 @@ def chi_rho(
             ball = mask_of(g.ball(v, rho, closed=True))
             if ball in seen:
                 continue
+            if ball == full and chi is not None:
+                return chi
             seen.add(ball)
             best = _chromatic_above(adj, ball, best, budget)
     except BudgetExceededError as exc:

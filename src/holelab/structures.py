@@ -634,21 +634,37 @@ def enumerate_jets(
     lengths: residues mod ell and the largest t for which the jetset is
     (t, ell)-complete, i.e. contains t consecutive lengths mod ell.
     """
+    _check_jet_arguments(max_len, ell, d)
+    report, floor = verify_shower(s)
+    if not report.valid:
+        raise InputError(f"invalid shower: {report.failures[0]}")
+    return _verified_jets(s, floor, max_len, ell, d, ensure_budget(budget))
+
+
+def _check_jet_arguments(max_len: int, ell: int | None, d: int | None) -> None:
+    """The InputError enumerate_jets raises for its arguments, if any."""
     if max_len < 0:
         raise InputError("jet length must be nonnegative")
     if d is not None and d < 0:
         raise InputError("d must be nonnegative")
-    budget = ensure_budget(budget)
+    if ell is not None and ell < 2:
+        raise InputError("jetset modulus must be at least 2")
+
+
+def _verified_jets(
+    s: Shower,
+    floor: frozenset[int],
+    max_len: int,
+    ell: int | None,
+    d: int | None,
+    budget: Budget,
+) -> tuple[list[tuple[int, ...]], JetSummary | None]:
+    """enumerate_jets on checked arguments and a valid shower with this floor."""
     g = s.host
-    report, floor = verify_shower(s)
-    if not report.valid:
-        raise InputError(f"invalid shower: {report.failures[0]}")
     allowed = mask_of(s.vertex_set())
     jets = sorted(_jets(g, s.head, s.drain, allowed, max_len, budget))
     summary = None
     if ell is not None:
-        if ell < 2:
-            raise InputError("jetset modulus must be at least 2")
         adj, floor_mask = g.adjacency_masks(), mask_of(floor)
         lengths = set()
         for j in jets:

@@ -349,6 +349,27 @@ def test_shower_command(corpus, tmp_path):
     assert row["budget_error"]
 
 
+def test_shower_jets_verify_the_shower_once(corpus, tmp_path, monkeypatch):
+    import holelab.structures as structures
+
+    calls = []
+    real = structures.verify_shower
+
+    def counted(shower):
+        calls.append(shower.layers)
+        return real(shower)
+
+    monkeypatch.setattr(structures, "verify_shower", counted)
+    out = tmp_path / "s.json"
+    argv = [
+        "--json-out", str(out), "shower", corpus(Graph(6, cycle_graph(6))),
+        "--root", "0", "--depth", "3", "--drain", "3", "--jets", "5", "--ell", "3", "--d", "0",
+    ]
+    assert main(argv) == EXIT_CLEAN
+    assert calls == [(frozenset({0}), frozenset({1, 5}), frozenset({2, 4}), frozenset({3}))]
+    assert json.loads(out.read_text())["jets"] == [[0, 1, 2, 3], [0, 5, 4, 3]]
+
+
 def test_structures_command(corpus, tmp_path):
     from holelab.gadgets import multicover_gadget
 

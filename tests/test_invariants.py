@@ -136,6 +136,124 @@ def test_chi_matches_exhaustive_assignment(g):
 
 
 MYC3_COLORING = [0, 1, 0, 1, 2, 0, 1, 0, 1, 3, 2, 0, 1, 0, 1, 2, 0, 1, 0, 1, 4, 2, 3]
+# the greedy colouring, which no k < 6 beats
+MYC4_COLORING = (
+    0, 1, 0, 1, 2, 2, 1, 3, 1, 2, 0, 2, 4, 3, 3, 2, 2, 5, 3, 3, 2, 4, 0, 2,
+    1, 3, 1, 2, 2, 1, 3, 1, 2, 4, 2, 1, 3, 1, 2, 2, 1, 3, 1, 2, 4, 1, 0,
+)
+
+
+def reference_greedy_coloring(adj, live):
+    """The greedy colouring by a scan of each vertex's coloured neighbours."""
+    order = sorted(bits(live), key=lambda v: (-(adj[v] & live).bit_count(), v))
+    colors = [-1] * len(adj)
+    for v in order:
+        used = 0
+        for w in bits(adj[v] & live):
+            if colors[w] >= 0:
+                used |= 1 << colors[w]
+        c = 0
+        while (used >> c) & 1:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def reference_k_colorable(adj, live, k, clique, budget):
+    """The DSATUR search by scans: pick() walks every live vertex and each
+    assignment loops over the neighbours, one tick per search node."""
+    colors = [-1] * len(adj)
+    forbidden = [0] * len(adj)  # bitmask of colors blocked by colored neighbors
+    full_k = (1 << k) - 1
+    seed = sorted(clique)
+    if len(seed) > k:
+        return None
+    for c, v in enumerate(seed):
+        colors[v] = c
+        for w in bits(adj[v] & live):
+            forbidden[w] |= 1 << c
+    degrees = [(v, -(adj[v] & live).bit_count()) for v in bits(live)]
+
+    def pick():
+        # highest saturation, then highest degree, then lowest index
+        best, key = -1, None
+        for v, neg_degree in degrees:
+            if colors[v] >= 0:
+                continue
+            cand = (-(forbidden[v] & full_k).bit_count(), neg_degree, v)
+            if key is None or cand < key:
+                best, key = v, cand
+        return best
+
+    def assign(v, c):
+        colors[v] = c
+        touched = []
+        bit = 1 << c
+        for w in bits(adj[v] & live):
+            if colors[w] < 0 and not forbidden[w] & bit:
+                forbidden[w] |= bit
+                touched.append(w)
+        return touched
+
+    def unassign(v, c, touched):
+        colors[v] = -1
+        bit = 1 << c
+        for w in touched:
+            forbidden[w] &= ~bit
+
+    def solve(remaining, used_max):
+        if remaining == 0:
+            return True
+        budget.tick()
+        v = pick()
+        avail = full_k & ~forbidden[v]
+        for c in bits(avail):
+            if c > used_max + 1:
+                break
+            touched = assign(v, c)
+            if solve(remaining - 1, max(used_max, c)):
+                return True
+            unassign(v, c, touched)
+        return False
+
+    if solve(len(degrees) - len(seed), len(seed) - 1):
+        return colors
+    return None
+
+
+@st.composite
+def graphs_and_masks(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    live = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return Graph(n, [e for e, on in zip(pairs, keep) if on]), live
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_masks())
+def test_bitset_searches_are_the_scans(graph_and_mask):
+    """The bucketed search branches as the scan does: for every k from the
+    clique number of G[live] to the greedy bound it returns the same
+    colouring (or None) after the same nodes, and greedy colours alike."""
+    g, live = graph_and_mask
+    adj = g.adjacency_masks()
+    greedy = _greedy_coloring(adj, live)
+    assert greedy == reference_greedy_coloring(adj, live)
+    clique = _clique(adj, live, Budget())[1]
+    for k in range(len(clique), max(greedy, default=-1) + 2):
+        budget, want_budget = Budget(), Budget()
+        got = _k_colorable(adj, live, k, clique, budget)
+        assert got == reference_k_colorable(adj, live, k, clique, want_budget)
+        assert budget.used == want_budget.used
+
+
+def test_chromatic_number_of_myc4_is_pinned():
+    # Myc4 (n = 47, omega = 2, chi = 6): the searches for k = 2..5 all fail
+    g = standard_family("mycielski_iterate", 4)
+    budget = Budget()
+    assert chromatic_number(g, budget) == (6, MYC4_COLORING)
+    assert budget.used == 597_650
 
 
 def test_k_colorable_branching_is_pinned():
@@ -264,7 +382,7 @@ def _check_chi_rho(graphs, monkeypatch):
         return real(adj, live, floor, budget)
 
     monkeypatch.setattr(invariants, "_chromatic_above", counted)
-    repeated = stopped = 0
+    repeated = stopped = whole = 0
     for g in graphs:
         chi = chromatic_number(g)[0]
         for rho in (1, 2, 3):
@@ -276,11 +394,15 @@ def _check_chi_rho(graphs, monkeypatch):
             repeated += len(set(balls)) < len(balls)
             del calls[:]
             assert chi_rho(g, rho, chi=chi) == want
-            # ... met before the maximum reaches chi
+            # ... met before the maximum reaches chi, and before the first
+            # ball that is all of g, which is chi with no search
             scanned = balls[: reached if reached is not None else g.n]
+            if g.full_mask() in scanned:
+                scanned = scanned[: scanned.index(g.full_mask())]
+                whole += 1
             assert len(calls) == len(set(scanned))
             stopped += len(scanned) < g.n
-    assert repeated and stopped
+    assert repeated and stopped and whole
 
 
 def test_chi_rho_matches_per_ball_search_on_le7(corpus_le7, monkeypatch):
